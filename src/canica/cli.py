@@ -29,7 +29,7 @@ from .data_model import (
     write_matrix,
 )
 from .errors import BadDimension, CanicaError, ConfigError, DataError, exit_code
-from .pipeline import FitResult, PipelineConfig, fit_group
+from .pipeline import FitResult, PipelineConfig, field_types, fit_group
 from .reproducibility import overlap_histogram, split_half
 from .simulate import simulate_group
 from .thresholding import fit_empirical_null, threshold_map
@@ -71,38 +71,12 @@ def _config_from_args(args) -> PipelineConfig:
         config = PipelineConfig.load(args.config)
     else:
         config = PipelineConfig()
-    overrides = {
-        "subjects": "S",
-        "frames": "n_frames",
-        "voxels": "n_voxels",
-        "k_true": "k_true",
-        "sparsity": "sparsity",
-        "sigma_e": "sigma_E",
-        "sigma_r": "sigma_R",
-        "seed": "seed",
-        "max_order": "max_order",
-        "order_boots": "order_n_boot",
-        "order_quantile": "order_quantile",
-        "fixed_order": "fixed_order",
-        "cca_boots": "cca_n_boot",
-        "alpha": "cca_alpha",
-        "nonlinearity": "ica_nonlinearity",
-        "tol": "ica_tol",
-        "max_iter": "ica_max_iter",
-        "restarts": "ica_restarts",
-        "p_value": "p_two_sided",
-        "repeats": "repeats",
-        "input": "input_dir",
-        "out": "output_dir",
+    updates = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(config)
+        if getattr(args, f.name, None) is not None
     }
-    updates = {}
-    for flag, field in overrides.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field] = value
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config.validate()
+    return dataclasses.replace(config, **updates).validate()
 
 
 def _load_subjects(input_dir: str | None) -> tuple[GroupDataset, dict[str, str]]:
@@ -167,6 +141,31 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _write_components(out: Path, rows, fits, maps, written: list) -> list[dict]:
+    """Write one voxel table per component map and return their summaries."""
+    summaries = []
+    for row, fit, tmap in zip(rows, fits, maps):
+        name = f"component_{tmap.component_index:03d}.csv"
+        zscores = (row - fit.mu) / fit.sigma
+        _write_csv(
+            out / name,
+            ["voxel", "value", "z", "selected"],
+            zip(range(row.size), row, zscores, tmap.selected.tolist()),
+        )
+        written.append(name)
+        summaries.append(
+            {
+                "component": tmap.component_index,
+                "mu": fit.mu,
+                "sigma": fit.sigma,
+                "z_threshold": fit.z_threshold,
+                "p_two_sided": fit.p_two_sided,
+                "n_selected": tmap.n_selected,
+            }
+        )
+    return summaries
+
+
 def _write_fit_outputs(out: Path, result: FitResult) -> dict:
     written = []
 
@@ -219,30 +218,10 @@ def _write_fit_outputs(out: Path, result: FitResult) -> dict:
             "n_iterations": result.ica.n_iterations,
             "nonlinearity": result.ica.nonlinearity,
         }
-        components = result.ica.components.values
-        comp_summaries = []
-        for tmap, fit in zip(result.thresholded_maps, result.null_fits):
-            i = tmap.component_index
-            name = f"component_{i:03d}.csv"
-            row = components[i]
-            zscores = (row - fit.mu) / fit.sigma
-            _write_csv(
-                out / name,
-                ["voxel", "value", "z", "selected"],
-                zip(range(row.size), row, zscores, tmap.selected.tolist()),
-            )
-            written.append(name)
-            comp_summaries.append(
-                {
-                    "component": i,
-                    "mu": fit.mu,
-                    "sigma": fit.sigma,
-                    "z_threshold": fit.z_threshold,
-                    "p_two_sided": fit.p_two_sided,
-                    "n_selected": tmap.n_selected,
-                }
-            )
-        summary["components"] = comp_summaries
+        summary["components"] = _write_components(
+            out, result.ica.components.values, result.null_fits,
+            result.thresholded_maps, written,
+        )
     return {"summary": summary, "written": written}
 
 
@@ -370,34 +349,14 @@ def cmd_split_half(args) -> int:
 def cmd_threshold(args) -> int:
     components_path = Path(args.components)
     matrix = read_matrix(components_path)
-    p = args.p_value if args.p_value is not None else 1e-3
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"p must be in (0, 1), got {p}")
+    p = _config_from_args(args).p_two_sided
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    fits = [fit_empirical_null(row, p_two_sided=p) for row in matrix.values]
+    maps = [threshold_map(row, fit, component_index=i)
+            for i, (row, fit) in enumerate(zip(matrix.values, fits))]
     written = []
-    summaries = []
-    for i, row in enumerate(matrix.values):
-        fit = fit_empirical_null(row, p_two_sided=p)
-        tmap = threshold_map(row, fit, component_index=i)
-        name = f"component_{i:03d}.csv"
-        zscores = (row - fit.mu) / fit.sigma
-        _write_csv(
-            out / name,
-            ["voxel", "value", "z", "selected"],
-            zip(range(row.size), row, zscores, tmap.selected.tolist()),
-        )
-        written.append(name)
-        summaries.append(
-            {
-                "component": i,
-                "mu": fit.mu,
-                "sigma": fit.sigma,
-                "z_threshold": fit.z_threshold,
-                "p_two_sided": fit.p_two_sided,
-                "n_selected": tmap.n_selected,
-            }
-        )
+    summaries = _write_components(out, matrix.values, fits, maps, written)
     _write_json(
         out / "manifest.json",
         {
@@ -412,29 +371,22 @@ def cmd_threshold(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    path = Path(args.manifest)
-    if not path.exists():
-        raise DataError(f"manifest {path} does not exist")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+def _render_manifest(manifest: dict) -> list[str]:
     command = manifest.get("command", "?")
-    print(f"command: {command}")
+    lines = [f"command: {command}"]
     if "config" in manifest:
         config = manifest["config"]
-        print(f"seed: {config.get('seed')}")
+        lines.append(f"seed: {config.get('seed')}")
     result = manifest.get("result", {})
     if command == "fit":
-        print(f"subjects: {len(result.get('subjects', []))}")
-        print(f"selected orders: {result.get('selected_orders')}")
-        print(f"k: {result.get('k')}")
-        print(f"threshold: {result.get('threshold')}")
+        lines.append(f"subjects: {len(result.get('subjects', []))}")
+        lines.append(f"selected orders: {result.get('selected_orders')}")
+        lines.append(f"k: {result.get('k')}")
+        lines.append(f"threshold: {result.get('threshold')}")
         if result.get("message"):
-            print(f"note: {result['message']}")
+            lines.append(f"note: {result['message']}")
         for comp in result.get("components", []):
-            print(
+            lines.append(
                 f"  component {comp['component']}: "
                 f"n_selected={comp['n_selected']} "
                 f"(mu={comp['mu']:.4f}, sigma={comp['sigma']:.4f})"
@@ -442,71 +394,69 @@ def cmd_report(args) -> int:
     elif command == "split-half":
         for mode in ("raw", "thresholded"):
             agg = result.get(mode, {})
-            print(
+            lines.append(
                 f"{mode}: e={agg.get('e_mean'):.3f} ({agg.get('e_sdom'):.3f}) "
                 f"t={agg.get('t_mean'):.3f} ({agg.get('t_sdom'):.3f})"
             )
-        print(f"component counts: {result.get('component_count_histogram')}")
+        lines.append(f"component counts: {result.get('component_count_histogram')}")
     elif command in ("simulate", "threshold"):
         for name in sorted(manifest.get("outputs", {})):
-            print(f"  output: {name}")
+            lines.append(f"  output: {name}")
+    return lines
+
+
+def cmd_report(args) -> int:
+    path = Path(args.manifest)
+    if not path.exists():
+        raise DataError(f"manifest {path} does not exist")
+    try:
+        manifest = json.loads(path.read_text())
+    # JSONDecodeError, UnicodeDecodeError and the integer digit limit are
+    # all ValueErrors; deeply nested arrays exhaust the recursion limit.
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest must be a JSON object")
+    # A manifest is outside input: a missing key, or a value of the wrong
+    # type or size or one stdout cannot encode, is a data error.
+    try:
+        print("\n".join(_render_manifest(manifest)))
+    except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError,
+            RecursionError) as exc:
+        raise DataError(f"{path}: malformed manifest: {exc!r}") from exc
     return 0
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out", help="output directory")
-
-
-def _add_sim_flags(sub):
-    sub.add_argument("--subjects", type=int, help="number of subjects (S)")
-    sub.add_argument("--frames", type=int)
-    sub.add_argument("--voxels", type=int)
-    sub.add_argument("--k-true", dest="k_true", type=int)
-    sub.add_argument("--sparsity", type=float)
-    sub.add_argument("--sigma-e", dest="sigma_e", type=float)
-    sub.add_argument("--sigma-r", dest="sigma_r", type=float)
-
-
-def _add_fit_flags(sub):
-    sub.add_argument("--input", help="directory of subject_*.cnic files")
-    sub.add_argument("--max-order", dest="max_order", type=int)
-    sub.add_argument("--order-boots", dest="order_boots", type=int)
-    sub.add_argument("--order-quantile", dest="order_quantile", type=float)
-    sub.add_argument("--fixed-order", dest="fixed_order", type=int)
-    sub.add_argument("--cca-boots", dest="cca_boots", type=int)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--nonlinearity", choices=["logcosh", "cube"])
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--max-iter", dest="max_iter", type=int)
-    sub.add_argument("--restarts", type=int)
-    sub.add_argument("--p-value", dest="p_value", type=float)
+def _add_config_flags(sub, command: str) -> None:
+    for f in dataclasses.fields(PipelineConfig):
+        meta = f.metadata
+        if command in meta["commands"]:
+            sub.add_argument(
+                meta["flag"],
+                dest=f.name,
+                type=field_types(f)[0],
+                choices=meta["rule"].choices if meta["rule"] else None,
+                help=meta["help"],
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="canica", description=__doc__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    sim = subs.add_parser("simulate", help="write a synthetic dataset")
-    _add_common_flags(sim)
-    _add_sim_flags(sim)
-    sim.set_defaults(func=cmd_simulate)
-
-    fit = subs.add_parser("fit", help="run the full estimation pipeline")
-    _add_common_flags(fit)
-    _add_fit_flags(fit)
-    fit.set_defaults(func=cmd_fit)
-
-    sh = subs.add_parser("split-half", help="repeated split-half analyses")
-    _add_common_flags(sh)
-    _add_fit_flags(sh)
-    sh.add_argument("--repeats", type=int)
-    sh.set_defaults(func=cmd_split_half)
+    for command, text, func in (
+        ("simulate", "write a synthetic dataset", cmd_simulate),
+        ("fit", "run the full estimation pipeline", cmd_fit),
+        ("split-half", "repeated split-half analyses", cmd_split_half),
+    ):
+        run = subs.add_parser(command, help=text)
+        run.add_argument("--config", help="JSON config file; flags override it")
+        _add_config_flags(run, command)
+        run.set_defaults(func=func)
 
     thr = subs.add_parser("threshold", help="re-threshold a component matrix")
     thr.add_argument("--components", required=True, help="CNIC1 component file")
-    thr.add_argument("--p-value", dest="p_value", type=float)
+    _add_config_flags(thr, "threshold")
     thr.add_argument("--out", required=True)
     thr.set_defaults(func=cmd_threshold)
 

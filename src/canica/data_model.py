@@ -116,7 +116,6 @@ class GroupDataset:
     """Ordered collection of subjects sharing one voxel axis."""
 
     subjects: tuple[SubjectSeries, ...]
-    mask_id: str | None = None
 
     def __post_init__(self):
         subjects = tuple(self.subjects)

@@ -10,7 +10,11 @@ regardless of worker count. ``CANICA_THREADS`` caps the pool.
 
 import dataclasses
 import json
+import math
 import os
+import sys
+import typing
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,92 +41,126 @@ from .thresholding import NullFit, ThresholdedMap, fit_empirical_null, threshold
 NO_SUBSPACE_MESSAGE = "no reproducible subspace"
 
 
+SIMULATE = ("simulate",)
+FIT = ("fit", "split-half")
+RUN = SIMULATE + FIT
+
+
+@dataclass(frozen=True)
+class Rule:
+    """Range a config value must lie in, worded for error messages."""
+
+    text: str
+    holds: Callable[[object], bool]
+    choices: tuple[str, ...] | None = None
+
+
+POSITIVE = Rule("must be positive", lambda v: v > 0)
+NONNEGATIVE = Rule("must be nonnegative", lambda v: v >= 0)
+FRACTION = Rule("must lie in (0, 1)", lambda v: 0 < v < 1)
+UNIT_INTERVAL = Rule("must lie in (0, 1]", lambda v: 0 < v <= 1)
+# Philox keys are 64-bit words: a larger seed would alias a smaller one.
+SEED = Rule("must lie in [0, 2**64)", lambda v: 0 <= v < 2**64)
+CONTRASTS = ("logcosh", "cube")
+CONTRAST = Rule(f"must be one of {list(CONTRASTS)}", lambda v: v in CONTRASTS, CONTRASTS)
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               type(None): "null"}
+
+
+def _option(default, flag: str, commands: tuple[str, ...], rule: Rule | None, text: str):
+    """A config field, its CLI flag, the subcommands exposing it, its rule and help."""
+    return field(
+        default=default,
+        metadata={"flag": flag, "commands": commands, "rule": rule, "help": text},
+    )
+
+
+def field_types(f: dataclasses.Field) -> tuple[type, ...]:
+    """Types a config field accepts: ``(T,)``, or ``(T, NoneType)`` for ``T | None``."""
+    return typing.get_args(f.type) or (f.type,)
+
+
+def _has_type(value, allowed: tuple[type, ...]) -> bool:
+    if isinstance(value, bool):
+        return False  # bool subclasses int, but True is never a count or a seed
+    if isinstance(value, int) and float in allowed:
+        # kept as given, so the manifest echoes the config byte for byte
+        return abs(value) <= sys.float_info.max
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return isinstance(value, allowed)
+
+
 @dataclass
 class PipelineConfig:
     """Flat, file-round-trippable configuration for every stage.
 
     Simulation keys use the external spelling (S, n_frames, n_voxels,
     k_true, sparsity, sigma_E, sigma_R, seed) so config files read the
-    same as the CLI documentation.
+    same as the CLI documentation. Each field's metadata holds its CLI
+    flag, the subcommands that expose it, its help text and its range
+    rule; validation, JSON loading and the CLI all derive from them.
     """
 
     # simulation
-    S: int = 12
-    n_frames: int = 200
-    n_voxels: int = 5000
-    k_true: int = 10
-    sparsity: float = 0.05
-    sigma_E: float = 0.5
-    sigma_R: float = 0.1
-    seed: int = 0
+    S: int = _option(12, "--subjects", SIMULATE, POSITIVE, "number of subjects (S)")
+    n_frames: int = _option(200, "--frames", SIMULATE, POSITIVE, "frames per subject")
+    n_voxels: int = _option(5000, "--voxels", SIMULATE, POSITIVE, "voxels per subject")
+    k_true: int = _option(10, "--k-true", SIMULATE, NONNEGATIVE, "planted group patterns")
+    sparsity: float = _option(0.05, "--sparsity", SIMULATE, UNIT_INTERVAL,
+                              "fraction of voxels in each planted pattern")
+    sigma_E: float = _option(0.5, "--sigma-e", SIMULATE, NONNEGATIVE, "observation noise")
+    sigma_R: float = _option(0.1, "--sigma-r", SIMULATE, NONNEGATIVE, "pattern deviation")
+    seed: int = _option(0, "--seed", RUN, SEED, "random seed in [0, 2**64)")
     # subject-level order selection
-    max_order: int = 20
-    order_n_boot: int = 100
-    order_quantile: float = 0.95
-    fixed_order: int | None = None
+    max_order: int = _option(20, "--max-order", FIT, POSITIVE, "largest order considered")
+    order_n_boot: int = _option(100, "--order-boots", FIT, POSITIVE,
+                                "bootstrap draws for order selection")
+    order_quantile: float = _option(0.95, "--order-quantile", FIT, FRACTION,
+                                    "null quantile an order's stability must exceed")
+    fixed_order: int | None = _option(None, "--fixed-order", FIT, POSITIVE,
+                                      "skip order selection, keep this many patterns")
     # group-level selection
-    cca_n_boot: int = 100
-    cca_alpha: float = 0.05
+    cca_n_boot: int = _option(100, "--cca-boots", FIT, POSITIVE,
+                              "bootstrap draws for the noise threshold")
+    cca_alpha: float = _option(0.05, "--alpha", FIT, FRACTION,
+                               "significance level of the noise threshold")
     # source separation
-    ica_nonlinearity: str = "logcosh"
-    ica_tol: float = 1e-6
-    ica_max_iter: int = 200
-    ica_restarts: int = 5
+    ica_nonlinearity: str = _option("logcosh", "--nonlinearity", FIT, CONTRAST,
+                                    "FastICA contrast function")
+    ica_tol: float = _option(1e-6, "--tol", FIT, POSITIVE, "FastICA tolerance")
+    ica_max_iter: int = _option(200, "--max-iter", FIT, POSITIVE, "FastICA iteration cap")
+    ica_restarts: int = _option(5, "--restarts", FIT, POSITIVE, "FastICA restarts")
     # map thresholding
-    p_two_sided: float = 1e-3
+    p_two_sided: float = _option(1e-3, "--p-value", FIT + ("threshold",), FRACTION,
+                                 "two-sided voxel p-value for the maps")
     # split-half
-    repeats: int = 1
+    repeats: int = _option(1, "--repeats", ("split-half",), POSITIVE, "split-half repeats")
     # paths
-    input_dir: str | None = None
-    output_dir: str | None = None
+    input_dir: str | None = _option(None, "--input", FIT, None,
+                                    "directory of subject_*.cnic files")
+    output_dir: str | None = _option(None, "--out", RUN, None, "output directory")
 
     def validate(self) -> "PipelineConfig":
-        counts = {
-            "S": self.S,
-            "n_frames": self.n_frames,
-            "n_voxels": self.n_voxels,
-            "max_order": self.max_order,
-            "order_n_boot": self.order_n_boot,
-            "cca_n_boot": self.cca_n_boot,
-            "ica_max_iter": self.ica_max_iter,
-            "ica_restarts": self.ica_restarts,
-            "repeats": self.repeats,
-        }
-        for name, value in counts.items():
-            if not (isinstance(value, int) and value >= 1):
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        fractions = {
-            "order_quantile": self.order_quantile,
-            "cca_alpha": self.cca_alpha,
-            "p_two_sided": self.p_two_sided,
-        }
-        for name, value in fractions.items():
-            if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
-        if not 0.0 < self.sparsity <= 1.0:
-            raise ConfigError(f"sparsity must lie in (0, 1], got {self.sparsity!r}")
-        if self.k_true < 0:
-            raise ConfigError(f"k_true must be nonnegative, got {self.k_true!r}")
-        if self.sigma_E < 0 or self.sigma_R < 0:
-            raise ConfigError("sigma_E and sigma_R must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
-        if self.fixed_order is not None and self.fixed_order < 1:
-            raise ConfigError("fixed_order must be a positive integer or null")
-        if self.ica_nonlinearity not in ("logcosh", "cube"):
-            raise ConfigError(
-                f"ica_nonlinearity must be 'logcosh' or 'cube', "
-                f"got {self.ica_nonlinearity!r}"
-            )
-        if not self.ica_tol > 0:
-            raise ConfigError(f"ica_tol must be positive, got {self.ica_tol!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            allowed = field_types(f)
+            if not _has_type(value, allowed):
+                names = " or ".join(_TYPE_NAMES[t] for t in allowed)
+                raise ConfigError(f"{f.name} must be {names}, got {value!r}")
+            rule = f.metadata["rule"]
+            if value is not None and rule is not None and not rule.holds(value):
+                raise ConfigError(f"{f.name} {rule.text}, got {value!r}")
         return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
+    def from_dict(cls, data) -> "PipelineConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -139,10 +177,10 @@ class PipelineConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, UnicodeDecodeError and the integer digit limit are
+        # all ValueErrors; deeply nested arrays exhaust the recursion limit.
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)
 
 

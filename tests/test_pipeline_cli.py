@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from canica import (
     DataMatrix,
@@ -21,6 +25,39 @@ from conftest import truth_in_standardized_space
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+CONFIG_LIKE = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)])
+    | st.text(max_size=4),
+    JSON_VALUES,
+    max_size=4,
+)
+MANIFEST_LIKE = st.fixed_dictionaries(
+    {"command": st.sampled_from(["fit", "split-half", "simulate", "threshold"])},
+    optional={
+        "config": JSON_VALUES,
+        "outputs": JSON_VALUES,
+        "result": st.dictionaries(
+            st.sampled_from(["subjects", "components", "raw", "thresholded", "message"]),
+            JSON_VALUES,
+            max_size=3,
+        ),
+    },
+)
+# Few fixed examples keep the suite's run time and results the same on every run.
+PROPERTY = settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def tree_digest(root: Path) -> dict:
@@ -57,11 +94,42 @@ class TestPipelineConfig:
             ("sparsity", 0.0),
             ("ica_nonlinearity", "tanh"),
             ("fixed_order", 0),
+            ("seed", "7"),
+            ("sparsity", "x"),
+            ("fixed_order", "3"),
+            ("ica_tol", "1e-6"),
+            ("sigma_E", None),
+            ("seed", 1.5),
+            ("seed", 1e400),
+            ("input_dir", 5),
+            ("k_true", 1.5),
+            ("S", True),
+            ("repeats", True),
+            ("seed", 2**64),
         ],
     )
     def test_validation(self, field, value):
         with pytest.raises(ConfigError):
             PipelineConfig(**{field: value}).validate()
+
+    @PROPERTY
+    @given(value=JSON_VALUES | CONFIG_LIKE | st.binary(max_size=16))
+    @example(value=b"\xff\xfe{")
+    def test_any_config_file_is_validated_or_rejected(self, tmp_path, value):
+        path = tmp_path / "config.json"
+        attempts = [lambda: PipelineConfig.load(path)]
+        if isinstance(value, bytes):
+            path.write_bytes(value)
+        else:
+            path.write_text(json.dumps(value))
+            attempts.append(lambda: PipelineConfig.from_dict(value))
+        for attempt in attempts:
+            try:
+                config = attempt()
+            except ConfigError:
+                continue
+            config.save(tmp_path / "saved.json")
+            assert PipelineConfig.load(tmp_path / "saved.json") == config
 
 
 class TestFitGroup:
@@ -282,6 +350,48 @@ class TestCli:
                     if k != "manifest.json"}
 
         assert run_into(tmp_path / "sh1") == run_into(tmp_path / "sh2")
+
+    def test_help_lists_the_same_options(self, capsys):
+        common = {"-h", "--help", "--config", "--seed", "--out"}
+        fit = common | {
+            "--input", "--max-order", "--order-boots", "--order-quantile",
+            "--fixed-order", "--cca-boots", "--alpha", "--nonlinearity", "--tol",
+            "--max-iter", "--restarts", "--p-value",
+        }
+        expected = {
+            "simulate": common | {
+                "--subjects", "--frames", "--voxels", "--k-true", "--sparsity",
+                "--sigma-e", "--sigma-r",
+            },
+            "fit": fit,
+            "split-half": fit | {"--repeats"},
+            "threshold": {"-h", "--help", "--components", "--p-value", "--out"},
+        }
+        for command, options in expected.items():
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+            text = capsys.readouterr().out
+            assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)) == options
+
+    @PROPERTY
+    @given(value=JSON_VALUES | MANIFEST_LIKE | st.binary(max_size=16))
+    @example(value=[])
+    @example(value={"command": "split-half", "result": {}})
+    @example(value={"command": "fit",
+                    "result": {"components": [{"component": 0, "mu": 0.0, "sigma": 1.0}]}})
+    @example(value=b"\xff\xfe{")
+    def test_any_manifest_renders_or_is_a_data_error(self, tmp_path, capsys, value):
+        path = tmp_path / "manifest.json"
+        if isinstance(value, bytes):
+            path.write_bytes(value)
+        else:
+            path.write_text(json.dumps(value))
+        capsys.readouterr()
+        code = run_cli("report", "--manifest", str(path))
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error [report]: ") and err.count("\n") == 1
 
     def test_report_renders_fit_manifest(self, tmp_path, capsys):
         sim = tmp_path / "sim"
