@@ -1,10 +1,13 @@
 """Group-level ICA pattern extraction with noise-calibrated selection.
 
-Pipeline stages: per-subject SVD whitening with bootstrap order selection,
-group-reproducible subspace via SVD of the concatenated whitened patterns
+Pipeline stages: per-subject whitening from an eigendecomposition of the
+frame Gram with bootstrap order selection, group-reproducible subspace from
+the same eigendecomposition of the concatenated whitened patterns' Gram
 with a noise-bootstrap significance threshold, FastICA source separation,
-and empirical-null voxel thresholding. A generative-model simulator and
-split-half reproducibility measures serve as the validation harness.
+and empirical-null voxel thresholding. One rank rule (eigenvalue at most
+lambda_max * max(frames, voxels) * eps is dead) governs every
+decomposition. A generative-model simulator and split-half reproducibility
+measures serve as the validation harness.
 """
 
 from . import errors, streams

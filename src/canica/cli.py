@@ -8,7 +8,8 @@ the exact configuration and input digests, and identical configuration
 plus inputs produce byte-identical outputs.
 
 Exit codes: 0 success (including an empty selected subspace), 1 usage or
-configuration error, 2 data error, 3 numerical failure.
+configuration error, 2 data, I/O or out-of-memory error, 3 numerical
+failure.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import (
+    MAX_ELEMENTS,
     DataMatrix,
     GroupDataset,
     RowKind,
@@ -106,6 +108,11 @@ def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     if not config.output_dir:
         raise ConfigError("an output directory is required (--out)")
+    if config.n_frames * config.n_voxels > MAX_ELEMENTS:
+        raise ConfigError(
+            f"n_frames * n_voxels must be at most {MAX_ELEMENTS}, the CNIC1 "
+            f"element limit, got {config.n_frames} x {config.n_voxels}"
+        )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = simulate_group(
@@ -267,6 +274,12 @@ def cmd_split_half(args) -> int:
     config = _config_from_args(args)
     if not config.output_dir:
         raise ConfigError("an output directory is required (--out)")
+    # repeat r runs on seed + r, which must stay a distinct 64-bit key
+    if config.seed + config.repeats - 1 >= 2**64:
+        raise ConfigError(
+            f"seed + repeats - 1 must lie below 2**64, got seed {config.seed} "
+            f"with {config.repeats} repeats"
+        )
     dataset, input_digests = _load_subjects(config.input_dir)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -481,6 +494,10 @@ def main(argv=None) -> int:
         return exit_code(exc)
     except OSError as exc:
         print(f"error [{subcommand}/io]: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        message = str(exc) or "out of memory"
+        print(f"error [{subcommand}/memory]: {message}", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,12 @@
-"""Group-reproducible subspace via SVD of concatenated whitened patterns.
+"""Group-reproducible subspace via the stacked whitened patterns.
 
-Stacking every subject's orthonormal whitened patterns and taking the SVD
-generalizes canonical correlation analysis to many subjects (it reduces to
-standard CCA for two). The singular values measure between-subject
-reproducibility of each direction: since each subject's block has
-orthonormal rows, one subject can contribute at most 1 to a squared
-singular value, so values lie in (0, sqrt(S)].
+Stacking every subject's orthonormal whitened patterns and taking the thin
+SVD (from the eigendecomposition of the stack's pattern Gram, up to its
+numerical rank) generalizes canonical correlation analysis to many
+subjects (it reduces to standard CCA for two). The singular values measure
+between-subject reproducibility of each direction: since each subject's
+block has orthonormal rows, one subject can contribute at most 1 to a
+squared singular value, so values lie in (0, sqrt(S)].
 
 Directions are kept when their singular value strictly exceeds a
 noise-calibrated threshold: the bootstrap distribution of the maximum
@@ -20,7 +21,7 @@ import numpy as np
 from . import streams
 from .data_model import DataMatrix, RowKind
 from .errors import BadDimension, EmptyGroup, EmptyNoise, NumericalFailure
-from .subject_level import SubjectReduction, _signed_svd, nearest_rank_quantile
+from .subject_level import SubjectReduction, _thin_svd, _whiten, nearest_rank_quantile
 
 DEFAULT_N_BOOT = 100
 DEFAULT_ALPHA = 0.05
@@ -28,10 +29,10 @@ DEFAULT_ALPHA = 0.05
 
 @dataclass(frozen=True)
 class GroupDecomposition:
-    """Full SVD of the stacked whitened patterns, before selection."""
+    """Thin SVD of the stacked whitened patterns, before selection."""
 
     loading_basis: np.ndarray  # (sum n_s) x r, orthonormal columns
-    correlations: np.ndarray  # r singular values, nonincreasing
+    correlations: np.ndarray  # r singular values, nonincreasing; r = stack rank
     pattern_basis: np.ndarray  # r x n_voxels, orthonormal rows
     subject_ids: tuple[str, ...]
     subject_slices: tuple[tuple[int, int], ...]  # row range per subject
@@ -59,7 +60,7 @@ class GroupSubspace:
 
 
 def group_cca(reductions: list[SubjectReduction]) -> GroupDecomposition:
-    """SVD of the concatenated whitened subject patterns."""
+    """Thin SVD of the concatenated whitened subject patterns, up to its rank."""
     usable = [r for r in reductions if r.whitened_patterns.rows > 0]
     if len(usable) < 2:
         raise EmptyGroup("group CCA needs at least 2 subjects with patterns")
@@ -67,7 +68,8 @@ def group_cca(reductions: list[SubjectReduction]) -> GroupDecomposition:
     if len(voxels) != 1:
         raise BadDimension(f"subjects disagree on voxel count: {sorted(voxels)}")
     stacked = np.vstack([r.whitened_patterns.values for r in usable])
-    upsilon, z, theta_t = _signed_svd(stacked)
+    upsilon, z, theta_t = _thin_svd(stacked, stacked.shape[0])
+    z = z[: theta_t.shape[0]]
     n_subjects = len(usable)
     if z.size and z[0] > np.sqrt(n_subjects) + 1e-6:
         raise NumericalFailure(
@@ -97,9 +99,9 @@ def bootstrap_max_correlations(
 
     One draw resamples each subject's residual frames with replacement,
     whitens the resample to its top n_s right singular directions, stacks
-    across subjects, and records the largest singular value. All linear
-    algebra runs on frame-by-frame Gram matrices, so the cost per draw is
-    independent of the voxel count.
+    across subjects, and records the largest singular value. The stack's
+    Gram has blocks W_a^T G_ab W_b built from the residual cross-Grams G_ab,
+    so the cost per draw is independent of the voxel count.
     """
     if len(reductions) < 2:
         raise EmptyGroup("noise bootstrap needs at least 2 subjects")
@@ -114,6 +116,7 @@ def bootstrap_max_correlations(
             )
     n_subjects = len(reductions)
     frames = [e.shape[0] for e in residuals]
+    n_voxels = residuals[0].shape[1]
     grams = {}
     for a in range(n_subjects):
         for b in range(a, n_subjects):
@@ -124,22 +127,16 @@ def bootstrap_max_correlations(
     for draw in range(n_boot):
         rng = streams.substream(seed, streams.CCA_NOISE_BOOT, draw)
         idx = [rng.integers(0, frames[s], size=frames[s]) for s in range(n_subjects)]
-        basis, scale = [], []
-        for s in range(n_subjects):
-            gram_b = grams[s, s][np.ix_(idx[s], idx[s])]
-            evals, evecs = np.linalg.eigh(gram_b)
-            evals = np.clip(evals[::-1], 0.0, None)
-            evecs = evecs[:, ::-1]
-            tol = max(evals[0], 1e-300) * gram_b.shape[0] * np.finfo(float).eps
-            basis.append(evecs[:, : orders[s]])
-            scale.append(np.sqrt(np.maximum(evals[: orders[s]], tol)))
+        maps = [
+            _whiten(grams[s, s][np.ix_(idx[s], idx[s])], orders[s], n_voxels)[2]
+            for s in range(n_subjects)
+        ]
         stack_gram = np.empty((total, total))
         for a in range(n_subjects):
             ra = slice(offsets[a], offsets[a + 1])
             for b in range(a, n_subjects):
                 rb = slice(offsets[b], offsets[b + 1])
-                cross = grams[a, b][np.ix_(idx[a], idx[b])]
-                block = (basis[a].T @ cross @ basis[b]) / np.outer(scale[a], scale[b])
+                block = maps[a].T @ grams[a, b][np.ix_(idx[a], idx[b])] @ maps[b]
                 stack_gram[ra, rb] = block
                 if a != b:
                     stack_gram[rb, ra] = block.T

@@ -120,7 +120,8 @@ class PipelineConfig:
     order_quantile: float = _option(0.95, "--order-quantile", FIT, FRACTION,
                                     "null quantile an order's stability must exceed")
     fixed_order: int | None = _option(None, "--fixed-order", FIT, POSITIVE,
-                                      "skip order selection, keep this many patterns")
+                                      "skip order selection, keep this many patterns "
+                                      "(at most each subject's numerical rank)")
     # group-level selection
     cca_n_boot: int = _option(100, "--cca-boots", FIT, POSITIVE,
                               "bootstrap draws for the noise threshold")
@@ -177,6 +178,8 @@ class PipelineConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
         # JSONDecodeError, UnicodeDecodeError and the integer digit limit are
         # all ValueErrors; deeply nested arrays exhaust the recursion limit.
         except (ValueError, RecursionError) as exc:
@@ -248,10 +251,13 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
                 seed=streams.derive_seed(config.seed, streams.SUBJECT_ORDER_SEED, index),
             )
             order = curve.selected
-        reduction = svd_reduce(series, order) if order >= 1 else None
-        if reduction is not None and curve is not None:
+        if order < 1:
+            return order, curve, None
+        # the reduction keeps no more patterns than the series' numerical rank
+        reduction = svd_reduce(series, order)
+        if curve is not None:
             reduction = dataclasses.replace(reduction, stability_curve=curve)
-        return order, curve, reduction
+        return reduction.selected_order, curve, reduction
 
     with ThreadPoolExecutor(max_workers=worker_count(len(subjects))) as pool:
         staged = list(pool.map(subject_stage, range(len(subjects))))

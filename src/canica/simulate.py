@@ -29,6 +29,7 @@ import numpy as np
 from . import streams
 from .data_model import DataMatrix, GroupDataset, RowKind, SubjectSeries
 from .errors import BadDimension, NumericalFailure
+from .subject_level import _whiten
 
 LOADING_JITTER = 0.1
 
@@ -98,8 +99,8 @@ def make_group_patterns(
             raise NumericalFailure("drew an all-zero pattern row")
         patterns[i] /= norm
     if k_true > 1:
-        smallest = np.linalg.svd(patterns, compute_uv=False)[-1]
-        if smallest < 1e-10:
+        _, rank, _ = _whiten(patterns @ patterns.T, k_true, n_voxels)
+        if rank < k_true:
             raise NumericalFailure("pattern rows are numerically dependent")
     return DataMatrix(patterns, RowKind.PATTERNS)
 

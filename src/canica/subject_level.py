@@ -1,10 +1,14 @@
 """Per-subject separation of signal patterns from observation noise.
 
-A truncated SVD splits each subject's series into orthonormal whitened
-patterns (the retained right singular vectors) and a noise residual. The
-retained order is chosen by comparing bootstrap stability of the leading
-right-singular subspace against the same statistic on a matching pure
-noise matrix.
+Every decomposition, here and at the group level, is one eigendecomposition
+of a small Gram matrix under one rank rule. A subject's frame Gram
+G = Y Y^T = V diag(lambda) V^T gives the whitening map W = V/sqrt(lambda)
+and orthonormal patterns W^T Y (its leading right singular vectors); the
+rest of Y is the noise residual. A direction with lambda <= lambda_max *
+max(frames, voxels) * eps is dead (a zero column of W), so an order above
+the numerical rank keeps the rank. The order is chosen by comparing
+bootstrap stability of the leading right-singular subspace against the
+same statistic on a matching pure noise matrix.
 
 Stability statistic. For a candidate order m, one bootstrap draw resamples
 frames with replacement and the overlap matrix O[i, j] = <v_boot_i, v_ref_j>
@@ -25,9 +29,8 @@ never stops; the increment isolates each direction's own stability.
 The selected order is the largest n such that for every m <= n the mean
 gain over bootstrap draws strictly exceeds the chosen quantile of the
 null distribution of per-draw gains at order m, with candidates beyond
-the numerical rank of the data failing automatically. Everything is
-computed from frame-by-frame Gram matrices, so each draw costs O(f^3)
-independent of the voxel count.
+the numerical rank of the data failing automatically. Each draw costs
+O(f^3), independent of the voxel count.
 """
 
 from dataclasses import dataclass
@@ -76,69 +79,71 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(values[idx])
 
 
-def _signed_svd(x: np.ndarray):
-    """SVD with each right singular vector's largest-magnitude entry positive."""
+def _whiten(gram: np.ndarray, order: int, n_voxels: int):
+    """Descending sqrt(lambda), numerical rank and whitening map of a Gram.
+
+    The map's ``order`` columns are V/sqrt(lambda), zero on dead directions.
+    """
     try:
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        evals, evecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    peaks = np.argmax(np.abs(vt), axis=1)
-    flip = vt[np.arange(vt.shape[0]), peaks] < 0
-    vt[flip] *= -1.0
-    u[:, flip] *= -1.0
-    return u, s, vt
+        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
+    evals, evecs = evals[::-1], evecs[:, ::-1][:, :order]
+    live = evals > evals[0] * max(gram.shape[0], n_voxels) * np.finfo(float).eps
+    s = np.sqrt(np.clip(evals, 0.0, None))
+    scale = np.divide(1.0, s[:order], out=np.zeros(order), where=live[:order])
+    return s, int(live.sum()), evecs * scale
+
+
+def _thin_svd(x: np.ndarray, order: int):
+    """Top ``min(order, rank)`` singular triplets of a short, wide matrix.
+
+    Left vectors, full spectrum, and right vectors as rows whose
+    largest-magnitude entry is positive.
+    """
+    s, rank, w = _whiten(x @ x.T, order, x.shape[1])
+    w = w[:, : min(order, rank)]
+    rows = w.T @ x
+    peaks = np.argmax(np.abs(rows), axis=1)
+    flip = rows[np.arange(rows.shape[0]), peaks] < 0
+    rows[flip] *= -1.0
+    w[:, flip] *= -1.0
+    return w * s[: rows.shape[0]], s, rows
 
 
 def svd_reduce(series: SubjectSeries, order: int) -> SubjectReduction:
-    """Split a series into its top-``order`` whitened patterns and residual."""
+    """Split a series into its top ``min(order, rank)`` patterns and residual."""
     y = series.data.values
     if not 1 <= order <= min(y.shape):
         raise BadDimension(
             f"order must be in [1, {min(y.shape)}], got {order}"
         )
-    u, s, vt = _signed_svd(y)
-    patterns = vt[:order]
-    residual = y - (u[:, :order] * s[:order]) @ patterns
+    u, s, patterns = _thin_svd(y, order)
+    residual = y - (u * s[: len(patterns)]) @ patterns
     return SubjectReduction(
         subject_id=series.subject_id,
         whitened_patterns=DataMatrix(patterns, RowKind.PATTERNS),
         noise_residual=DataMatrix(residual, RowKind.FRAMES),
-        selected_order=order,
+        selected_order=len(patterns),
         singular_values=s,
     )
 
 
-def _descending_eigh(h: np.ndarray):
-    evals, evecs = np.linalg.eigh(h)
-    return np.clip(evals[::-1], 0.0, None), evecs[:, ::-1]
-
-
 def _bootstrap_gains(
     gram: np.ndarray,
-    ref_vals: np.ndarray,
-    ref_vecs: np.ndarray,
-    max_order: int,
-    rank_tol: float,
+    ref_map: np.ndarray,
+    n_voxels: int,
     n_boot: int,
     seed: int,
     purpose: int,
 ) -> np.ndarray:
     """Per-draw subspace-energy gains, shape (n_boot, max_order)."""
-    n_frames = gram.shape[0]
-    ref_scale = np.sqrt(np.maximum(ref_vals[:max_order], rank_tol))
-    ref_top = ref_vecs[:, :max_order]
-    ref_dead = ref_vals[:max_order] <= rank_tol
+    n_frames, max_order = ref_map.shape
     gains = np.empty((n_boot, max_order))
     for b in range(n_boot):
-        rng = streams.substream(seed, purpose, b)
-        idx = rng.integers(0, n_frames, size=n_frames)
-        boot_vals, boot_vecs = _descending_eigh(gram[np.ix_(idx, idx)])
-        boot_scale = np.sqrt(np.maximum(boot_vals[:max_order], rank_tol))
-        overlap = (boot_vecs[:, :max_order].T @ gram[idx, :] @ ref_top) / np.outer(
-            boot_scale, ref_scale
-        )
-        overlap[boot_vals[:max_order] <= rank_tol, :] = 0.0
-        overlap[:, ref_dead] = 0.0
+        idx = streams.substream(seed, purpose, b).integers(0, n_frames, size=n_frames)
+        _, _, boot_map = _whiten(gram[np.ix_(idx, idx)], max_order, n_voxels)
+        overlap = boot_map.T @ gram[idx, :] @ ref_map
         energy = (overlap**2).cumsum(axis=0).cumsum(axis=1).diagonal()
         gains[b] = np.diff(energy, prepend=0.0)
     return gains
@@ -172,21 +177,16 @@ def order_stability(
                                    np.zeros(max_order, bool), 0)
 
     gram = y @ y.T
-    ref_vals, ref_vecs = _descending_eigh(gram)
-    rank_tol = ref_vals[0] * max(y.shape) * np.finfo(float).eps
-    rank = int((ref_vals > rank_tol).sum())
+    _, rank, ref_map = _whiten(gram, max_order, n_voxels)
     data_gains = _bootstrap_gains(
-        gram, ref_vals, ref_vecs, max_order, rank_tol, n_boot, seed,
-        streams.ORDER_DATA_BOOT,
+        gram, ref_map, n_voxels, n_boot, seed, streams.ORDER_DATA_BOOT
     )
 
     null = streams.substream(seed, streams.ORDER_NULL_MATRIX).standard_normal(y.shape)
     null_gram = null @ null.T
-    null_vals, null_vecs = _descending_eigh(null_gram)
-    null_tol = null_vals[0] * max(y.shape) * np.finfo(float).eps
+    _, _, null_map = _whiten(null_gram, max_order, n_voxels)
     null_gains = _bootstrap_gains(
-        null_gram, null_vals, null_vecs, max_order, null_tol, n_boot, seed,
-        streams.ORDER_NULL_BOOT,
+        null_gram, null_map, n_voxels, n_boot, seed, streams.ORDER_NULL_BOOT
     )
 
     stability = data_gains.mean(axis=0)

@@ -3,6 +3,8 @@ import numpy as np
 from canica import make_group_patterns
 from canica.streams import substream
 
+EPS = np.finfo(float).eps
+
 
 def white_mixture(k, n_voxels, sparsity, seed):
     """Orthonormalized planted sources mixed by a random rotation.
@@ -50,3 +52,28 @@ def truth_in_standardized_space(data):
     scaled = patterns / std
     norms = np.linalg.norm(scaled, axis=1, keepdims=True)
     return scaled / np.maximum(norms, 1e-300)
+
+
+def reference_svd(x):
+    """LAPACK SVD with each right vector's largest-magnitude entry positive."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    flip = vt[np.arange(len(s)), np.argmax(np.abs(vt), axis=1)] < 0
+    vt[flip] *= -1.0
+    u[:, flip] *= -1.0
+    return u, s, vt
+
+
+def gram_tolerances(s, n_rows):
+    """Error bounds of a Gram eigendecomposition, from eps and the reference.
+
+    Eigenvalues of x x^T carry an absolute error of about n_rows * eps *
+    s_max^2, so a singular value moves by that over 2 s, and by no more than
+    its square root. An eigenvector moves by that over the gap to its
+    neighbours' eigenvalues.
+    """
+    lam = s**2
+    noise = 10 * n_rows * EPS * lam[0]
+    gaps = np.abs(np.diff(lam))
+    gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    with np.errstate(divide="ignore"):
+        return np.minimum(noise / (2 * s), np.sqrt(noise)), noise / gap

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from canica import (
     DataMatrix,
@@ -11,13 +15,36 @@ from canica import (
     standardize,
     write_matrix,
 )
+from canica.data_model import MAGIC, VERSION
 from canica.errors import (
     BadDimension,
     BadMagic,
+    DataError,
     EmptyMatrix,
     NonFiniteValue,
     ShapeOverflow,
     TruncatedPayload,
+)
+
+
+@st.composite
+def cnic_like(draw):
+    """A CNIC1 header with any fields, then a payload that may fit its shape."""
+    rows = draw(st.integers(0, 3) | st.integers(0, 2**64 - 1))
+    cols = draw(st.integers(0, 3) | st.integers(0, 2**64 - 1))
+    version = draw(st.sampled_from([VERSION, 0, 2]))
+    kind = draw(st.integers(0, 2) | st.integers(0, 255))
+    size = 8 * rows * cols if rows * cols <= 9 else 0
+    payload = draw(st.binary(min_size=size, max_size=size) | st.binary(max_size=80))
+    return MAGIC + bytes([version]) + struct.pack("<QQB", rows, cols, kind) + payload
+
+
+# Fixed examples keep the suite's run time and results the same on every run.
+PROPERTY = settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
 
@@ -165,6 +192,19 @@ class TestBinaryFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(NonFiniteValue):
             read_matrix(path)
+
+    @PROPERTY
+    @given(blob=st.binary(max_size=64) | cnic_like())
+    @example(blob=MAGIC + bytes([VERSION]) + struct.pack("<QQB", 1, 1, 0) + bytes(8))
+    def test_any_bytes_read_as_a_matrix_or_a_data_error(self, tmp_path, blob):
+        path = tmp_path / "m.cnic"
+        path.write_bytes(blob)
+        try:
+            matrix = read_matrix(path)
+        except DataError:
+            return
+        write_matrix(matrix, tmp_path / "back.cnic")
+        assert (tmp_path / "back.cnic").read_bytes() == blob
 
 
 class TestCsvImport:

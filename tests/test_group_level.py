@@ -15,6 +15,7 @@ from canica import (
 )
 from canica.errors import BadDimension, EmptyGroup, EmptyNoise
 from canica.streams import substream
+from conftest import gram_tolerances, reference_svd
 
 
 def reduction_from(patterns, residual=None, subject_id="s"):
@@ -42,6 +43,26 @@ class TestGroupCca:
         dec = group_cca(reds)
         np.testing.assert_allclose(dec.correlations[:3], np.full(3, 2.0), atol=1e-8)
         np.testing.assert_allclose(dec.correlations[3:], 0.0, atol=1e-8)
+
+    def test_identical_subjects_stop_at_rank(self):
+        p = random_orthonormal_rows(3, 40, seed=1)
+        dec = group_cca([reduction_from(p, subject_id=f"s{i}") for i in range(4)])
+        assert dec.correlations.shape == (3,)
+        assert dec.pattern_basis.shape == (3, 40)
+        assert dec.loading_basis.shape == (12, 3)
+
+    def test_matches_lapack_svd_on_full_rank_stack(self):
+        reds = [
+            reduction_from(random_orthonormal_rows(4, 50, seed=s), subject_id=f"s{s}")
+            for s in range(3)
+        ]
+        dec = group_cca(reds)
+        stacked = np.vstack([r.whitened_patterns.values for r in reds])
+        u, s, vt = reference_svd(stacked)
+        value_tol, vector_tol = gram_tolerances(s, stacked.shape[0])
+        assert (np.abs(dec.correlations - s) <= value_tol).all()
+        assert (np.abs(dec.pattern_basis - vt).max(axis=1) <= vector_tol).all()
+        assert (np.abs(dec.loading_basis - u).max(axis=0) <= vector_tol).all()
 
     def test_disjoint_subspaces_stay_at_one(self):
         q = random_orthonormal_rows(6, 60, seed=2)

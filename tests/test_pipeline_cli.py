@@ -167,6 +167,15 @@ class TestFitGroup:
         assert result.stability_curves[0] is not None
         assert result.k == 2
 
+    def test_fixed_order_above_rank_reports_the_rank(self):
+        # standardized 24-frame subjects span 23 directions
+        data = simulate_group(4, 24, 300, 2, 0.3, 0.3, 0.05, seed=10)
+        config = PipelineConfig(fixed_order=30, cca_n_boot=20, seed=10)
+        result = fit_group(data.dataset, config)
+        assert result.selected_orders == (23, 23, 23, 23)
+        assert [r.selected_order for r in result.reductions] == [23] * 4
+        assert [r.whitened_patterns.rows for r in result.reductions] == [23] * 4
+
     def test_thread_count_does_not_change_result(self, monkeypatch):
         data = simulate_group(4, 60, 300, 2, 0.3, 0.2, 0.02, seed=8)
         config = PipelineConfig(fixed_order=4, cca_n_boot=25, seed=8)
@@ -278,6 +287,53 @@ class TestCli:
             "--out", str(tmp_path / "o"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("name", ["nope.json", "."])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, name):
+        code = run_cli(
+            "fit", "--config", str(tmp_path / name), "--input", str(tmp_path),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [fit/config]: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "seed,repeats,code",
+        [(2**64 - 1, 2, 1), (2**64 - 3, 4, 1), (2**64 - 1, 1, 2), (2**64 - 3, 3, 2)],
+    )
+    def test_split_half_seeds_stay_below_2_to_64(self, tmp_path, capsys, seed,
+                                                 repeats, code):
+        # a config that passes the check fails later on the empty input (exit 2)
+        out = tmp_path / "sh"
+        assert run_cli(
+            "split-half", "--input", str(tmp_path), "--out", str(out),
+            "--seed", str(seed), "--repeats", str(repeats),
+        ) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if code == 1:
+            assert err.startswith("error [split-half/config]: seed + repeats - 1")
+        assert not out.exists()
+
+    def test_simulate_rejects_shapes_beyond_the_element_limit(self, tmp_path, capsys):
+        out = tmp_path / "huge"
+        code = run_cli(
+            "simulate", "--out", str(out), "--subjects", "1", "--frames", "20",
+            "--k-true", "2", "--voxels", "1000000000000000",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [simulate/config]: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("canica.cli.simulate_group", exhausted)
+        assert run_cli(*self.simulate_args(tmp_path / "sim")) == 2
+        assert capsys.readouterr().err == "error [simulate/memory]: out of memory\n"
 
     def test_flags_override_config_file(self, tmp_path):
         config_path = tmp_path / "c.json"

@@ -10,10 +10,12 @@ from canica import (
     order_stability,
     select_order,
     simulate_subject,
+    standardize,
     svd_reduce,
 )
 from canica.errors import BadDimension
 from canica.streams import substream
+from conftest import gram_tolerances, reference_svd
 
 
 def series_of(values):
@@ -87,6 +89,37 @@ class TestSvdReduce:
         p = svd_reduce(series_of(y), order=5).whitened_patterns.values
         peaks = np.argmax(np.abs(p), axis=1)
         assert (p[np.arange(5), peaks] > 0).all()
+
+    @pytest.mark.parametrize("shape", [(40, 300), (25, 2000), (60, 61)])
+    def test_matches_lapack_svd_on_full_rank_input(self, shape):
+        y = substream(4, 0xF00D).standard_normal(shape)
+        order = shape[0] // 2
+        red = svd_reduce(series_of(y), order)
+        u, s, vt = reference_svd(y)
+        value_tol, vector_tol = gram_tolerances(s, shape[0])
+        assert red.selected_order == order
+        assert (np.abs(red.singular_values - s) <= value_tol).all()
+        error = np.abs(red.whitened_patterns.values - vt[:order]).max(axis=1)
+        assert (error <= vector_tol[:order]).all()
+        residual = y - (u[:, :order] * s[:order]) @ vt[:order]
+        assert np.abs(red.noise_residual.values - residual).max() <= (
+            vector_tol[:order].max() * s[0]
+        )
+
+    def test_order_above_rank_keeps_the_rank(self):
+        # standardized columns sum to zero, so f frames span f - 1 directions
+        f = 24
+        y = substream(5, 0xF00D).standard_normal((f, 300))
+        series = standardize(series_of(y))
+        red = svd_reduce(series, order=f)
+        p = red.whitened_patterns.values
+        assert red.selected_order == f - 1 and p.shape == (f - 1, 300)
+        assert red.singular_values.shape == (f,)
+        _, s, _ = reference_svd(series.data.values)
+        value_tol, _ = gram_tolerances(s, f)
+        assert (np.abs(red.singular_values - s) <= value_tol).all()
+        assert np.abs(p @ p.T - np.eye(f - 1)).max() < 1e-8
+        assert np.abs(red.noise_residual.values @ p.T).max() < 1e-8
 
     @pytest.mark.parametrize("order", [0, 11])
     def test_order_bounds(self, order):
