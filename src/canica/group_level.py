@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
+from . import _blas, streams
 from .data_model import DataMatrix, RowKind
 from .errors import BadDimension, EmptyGroup, EmptyNoise, NumericalFailure
 from .subject_level import SubjectReduction, _thin_svd, _whiten, nearest_rank_quantile
 
 DEFAULT_N_BOOT = 100
 DEFAULT_ALPHA = 0.05
+NO_NOISE = "has no noise residual to calibrate the threshold"
 
 
 @dataclass(frozen=True)
@@ -107,13 +108,11 @@ def bootstrap_max_correlations(
         raise EmptyGroup("noise bootstrap needs at least 2 subjects")
     if n_boot < 20:
         raise BadDimension(f"need n_boot >= 20, got {n_boot}")
+    for r in reductions:
+        if not r.has_noise:
+            raise EmptyNoise(f"subject {r.subject_id!r} {NO_NOISE}")
     residuals = [r.noise_residual.values for r in reductions]
     orders = [r.whitened_patterns.rows for r in reductions]
-    for r in reductions:
-        if not r.noise_residual.values.any():
-            raise EmptyNoise(
-                f"subject {r.subject_id!r} has an all-zero noise residual"
-            )
     n_subjects = len(reductions)
     frames = [e.shape[0] for e in residuals]
     n_voxels = residuals[0].shape[1]
@@ -124,24 +123,27 @@ def bootstrap_max_correlations(
     offsets = np.concatenate([[0], np.cumsum(orders)])
     total = int(offsets[-1])
     maxima = np.empty(n_boot)
-    for draw in range(n_boot):
-        rng = streams.substream(seed, streams.CCA_NOISE_BOOT, draw)
-        idx = [rng.integers(0, frames[s], size=frames[s]) for s in range(n_subjects)]
-        maps = [
-            _whiten(grams[s, s][np.ix_(idx[s], idx[s])], orders[s], n_voxels)[2]
-            for s in range(n_subjects)
-        ]
-        stack_gram = np.empty((total, total))
-        for a in range(n_subjects):
-            ra = slice(offsets[a], offsets[a + 1])
-            for b in range(a, n_subjects):
-                rb = slice(offsets[b], offsets[b + 1])
-                block = maps[a].T @ grams[a, b][np.ix_(idx[a], idx[b])] @ maps[b]
-                stack_gram[ra, rb] = block
-                if a != b:
-                    stack_gram[rb, ra] = block.T
-        top = np.linalg.eigvalsh(stack_gram)[-1]
-        maxima[draw] = np.sqrt(max(top, 0.0))
+    # The voxel-wide cross-Grams above keep the caller's BLAS threads; each
+    # draw below works on frame-sized matrices, which extra threads only slow.
+    with _blas.single_thread():
+        for draw in range(n_boot):
+            rng = streams.substream(seed, streams.CCA_NOISE_BOOT, draw)
+            idx = [rng.integers(0, frames[s], size=frames[s]) for s in range(n_subjects)]
+            maps = [
+                _whiten(grams[s, s][np.ix_(idx[s], idx[s])], orders[s], n_voxels)[2]
+                for s in range(n_subjects)
+            ]
+            stack_gram = np.empty((total, total))
+            for a in range(n_subjects):
+                ra = slice(offsets[a], offsets[a + 1])
+                for b in range(a, n_subjects):
+                    rb = slice(offsets[b], offsets[b + 1])
+                    block = maps[a].T @ grams[a, b][np.ix_(idx[a], idx[b])] @ maps[b]
+                    stack_gram[ra, rb] = block
+                    if a != b:
+                        stack_gram[rb, ra] = block.T
+            top = np.linalg.eigvalsh(stack_gram)[-1]
+            maxima[draw] = np.sqrt(max(top, 0.0))
     return maxima
 
 

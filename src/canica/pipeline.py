@@ -2,10 +2,13 @@
 
 This module owns the run configuration and the ``fit_group`` orchestration
 used both by the command line and by the split-half harness. Per-subject
-work fans out over a thread pool (the heavy lifting happens inside LAPACK,
-which releases the GIL); results are keyed by subject index and all
-randomness is derived from the configured seed, so output is identical
-regardless of worker count. ``CANICA_THREADS`` caps the pool.
+work fans out over a thread pool; results are keyed by subject index and
+all randomness is derived from the configured seed, so output is identical
+regardless of worker count. ``CANICA_THREADS`` caps the pool. The pool is
+the parallelism: a subject's work is many small frame-Gram eigenproblems,
+too small for BLAS threads to speed up, so while the pool runs numpy's
+bundled OpenBLAS is held to one thread, and each worker keeps one core busy
+estimating instead of sharing it with idle BLAS threads.
 """
 
 import dataclasses
@@ -20,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import streams
+from . import _blas, streams
 from .data_model import GroupDataset, standardize
 from .errors import BadDimension, ConfigError
 from .group_level import (
+    NO_NOISE,
     GroupSubspace,
     group_cca,
     noise_threshold,
@@ -259,7 +263,9 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
             reduction = dataclasses.replace(reduction, stability_curve=curve)
         return reduction.selected_order, curve, reduction
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(subjects))) as pool:
+    with _blas.single_thread(), ThreadPoolExecutor(
+        max_workers=worker_count(len(subjects))
+    ) as pool:
         staged = list(pool.map(subject_stage, range(len(subjects))))
     orders = tuple(s[0] for s in staged)
     curves = tuple(s[1] for s in staged)
@@ -275,6 +281,10 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
     )
     if len(reductions) < 2:
         base.message = NO_SUBSPACE_MESSAGE
+        return base
+    noiseless = [r.subject_id for r in reductions if not r.has_noise]
+    if noiseless:
+        base.message = f"{NO_SUBSPACE_MESSAGE}: subject {noiseless[0]!r} {NO_NOISE}"
         return base
 
     decomposition = group_cca(list(reductions))

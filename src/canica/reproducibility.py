@@ -11,7 +11,6 @@ component signs are arbitrary.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import streams
 from .data_model import GroupDataset
@@ -81,7 +80,10 @@ def match_components(c: np.ndarray):
     d1, d2 = c.shape
     if min(d1, d2) == 0:
         return ComponentMatching(pairs=(), matched_sum=0.0), c.copy()
-    rows, cols = optimize.linear_sum_assignment(np.abs(c), maximize=True)
+    # imported here so that only split-half, not every fit, loads scipy
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(np.abs(c), maximize=True)
     pairs = sorted(zip(rows.tolist(), cols.tolist()),
                    key=(lambda p: p[0]) if d1 <= d2 else (lambda p: p[1]))
     matched_sum = float(sum(abs(c[i, j]) for i, j in pairs))

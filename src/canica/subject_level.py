@@ -71,6 +71,22 @@ class SubjectReduction:
     def n_voxels(self) -> int:
         return self.whitened_patterns.cols
 
+    @property
+    def has_noise(self) -> bool:
+        """Whether the residual holds a live direction under the rank rule.
+
+        The rule is applied against the subject's own spectrum, so the
+        rounding left behind by a reduction that kept the whole numerical
+        rank counts as no noise, as an all-zero residual does.
+        """
+        e = self.noise_residual.values
+        return float(np.vdot(e, e)) > _dead_level(self.singular_values[0] ** 2, *e.shape)
+
+
+def _dead_level(lambda_max: float, n_frames: int, n_voxels: int) -> float:
+    """Gram eigenvalue at or below which a direction is rounding, not data."""
+    return lambda_max * max(n_frames, n_voxels) * np.finfo(float).eps
+
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     """Empirical quantile with the nearest-rank rule, ceil(q * n)."""
@@ -89,7 +105,7 @@ def _whiten(gram: np.ndarray, order: int, n_voxels: int):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
     evals, evecs = evals[::-1], evecs[:, ::-1][:, :order]
-    live = evals > evals[0] * max(gram.shape[0], n_voxels) * np.finfo(float).eps
+    live = evals > _dead_level(evals[0], gram.shape[0], n_voxels)
     s = np.sqrt(np.clip(evals, 0.0, None))
     scale = np.divide(1.0, s[:order], out=np.zeros(order), where=live[:order])
     return s, int(live.sum()), evecs * scale

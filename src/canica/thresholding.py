@@ -8,10 +8,10 @@ long-tailed contamination the maps are expected to carry. Selection is a
 strict two-sided z test at an uncorrected p-value.
 """
 
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import BadDimension, DegenerateInput
 
@@ -44,7 +44,7 @@ def two_sided_z(p_two_sided: float) -> float:
     """Standard-normal quantile with p/2 mass in each tail."""
     if not 0.0 < p_two_sided < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p_two_sided}")
-    return float(stats.norm.isf(p_two_sided / 2.0))
+    return -statistics.NormalDist().inv_cdf(p_two_sided / 2.0)
 
 
 def fit_empirical_null(

@@ -11,6 +11,7 @@ from canica import (
     noise_threshold,
     select_group_subspace,
     simulate_group,
+    standardize,
     svd_reduce,
 )
 from canica.errors import BadDimension, EmptyGroup, EmptyNoise
@@ -162,6 +163,15 @@ class TestNoiseThreshold:
         ]
         with pytest.raises(EmptyNoise):
             noise_threshold(reds, n_boot=20, seed=0)
+
+    def test_rounding_residual_is_empty_noise(self):
+        # standardized 24-frame subjects have rank 23: order 23 leaves rounding
+        data = simulate_group(4, 24, 300, 2, 0.3, 0.3, 0.05, seed=10)
+        reds = [svd_reduce(standardize(s), 23) for s in data.dataset.subjects]
+        residual = reds[0].noise_residual.values
+        assert 0.0 < np.linalg.norm(residual) < 1e-9 * reds[0].singular_values[0]
+        with pytest.raises(EmptyNoise, match="no noise residual"):
+            bootstrap_max_correlations(reds, n_boot=20, seed=10)
 
     def test_deterministic(self):
         reds = self.make_noise_reductions(seed=1)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import canica
 from canica import (
     DataMatrix,
     PipelineConfig,
@@ -132,6 +136,19 @@ class TestPipelineConfig:
             assert PipelineConfig.load(tmp_path / "saved.json") == config
 
 
+THREADS_DATA = simulate_group(4, 40, 200, 2, 0.3, 0.3, 0.05, seed=11)
+THREADS_CONFIG = PipelineConfig(max_order=5, order_n_boot=20, cca_n_boot=20, seed=11)
+
+
+@pytest.fixture(scope="module")
+def serial_fit():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CANICA_THREADS", "1")
+        result = fit_group(THREADS_DATA.dataset, THREADS_CONFIG)
+    assert result.k >= 1
+    return result
+
+
 class TestFitGroup:
     def test_recovers_planted_sources(self):
         gains = np.linspace(2.0, 1.0, 3)
@@ -176,6 +193,32 @@ class TestFitGroup:
         assert [r.selected_order for r in result.reductions] == [23] * 4
         assert [r.whitened_patterns.rows for r in result.reductions] == [23] * 4
 
+    def test_full_rank_reduction_leaves_no_noise_to_calibrate(self):
+        # order 30 keeps all 23 directions; the residual is rounding (~1e-13)
+        data = simulate_group(4, 24, 300, 2, 0.3, 0.3, 0.05, seed=10)
+        config = PipelineConfig(fixed_order=30, cca_n_boot=20, seed=10)
+        result = fit_group(data.dataset, config)
+        assert result.k == 0
+        assert result.threshold is None
+        assert result.message == (
+            f"{NO_SUBSPACE_MESSAGE}: subject 'subject_000' "
+            "has no noise residual to calibrate the threshold"
+        )
+
+    @given(threads=st.integers(1, 8))
+    @settings(PROPERTY, max_examples=6)
+    def test_any_thread_cap_gives_identical_results(self, monkeypatch, serial_fit,
+                                                    threads):
+        # order selection, not a fixed order, so the pinned pool's bootstrap runs
+        monkeypatch.setenv("CANICA_THREADS", str(threads))
+        result = fit_group(THREADS_DATA.dataset, THREADS_CONFIG)
+        assert result.selected_orders == serial_fit.selected_orders
+        assert result.threshold == serial_fit.threshold
+        assert (
+            result.ica.components.values.tobytes()
+            == serial_fit.ica.components.values.tobytes()
+        )
+
     def test_thread_count_does_not_change_result(self, monkeypatch):
         data = simulate_group(4, 60, 300, 2, 0.3, 0.2, 0.02, seed=8)
         config = PipelineConfig(fixed_order=4, cca_n_boot=25, seed=8)
@@ -203,6 +246,15 @@ class TestCli:
             "--sparsity", "0.3", "--sigma-e", "0.3", "--sigma-r", "0.05",
             "--seed", str(seed),
         ]
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        path = [str(Path(canica.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = ("import sys, canica.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_simulate_writes_files_and_rerun_identical(self, tmp_path):
         out = tmp_path / "sim"

@@ -50,6 +50,14 @@ class TestFitEmpiricalNull:
         assert np.isclose(fit.z_threshold, 3.2905, atol=5e-4)
         assert fit.z_threshold == two_sided_z(1e-3)
 
+    def test_z_matches_scipy_normal_quantile(self):
+        from scipy.stats import norm
+
+        assert two_sided_z(1e-3) == norm.isf(5e-4)
+        for p in np.geomspace(1e-300, 0.999, 400):
+            expected = norm.isf(p / 2.0)
+            assert abs(two_sided_z(p) - expected) <= 1e-13 * expected
+
 
 class TestThresholdMap:
     def test_null_map_false_positive_count(self):
