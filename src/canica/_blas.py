@@ -1,16 +1,20 @@
-"""Scoped single-thread BLAS for numpy's bundled OpenBLAS.
+"""Scoped thread limits for numpy's bundled OpenBLAS.
 
 The bootstraps run many small eigenproblems, each far too small for BLAS
 threads to help: when several of them run at once, on the per-subject pool
 or in a draw loop, extra BLAS threads only spin and compete for the cores.
-``single_thread()`` sets the OpenBLAS library shipped inside the numpy wheel
-to one thread for the duration of a block and restores the previous count
-on exit. Builds without a bundled OpenBLAS (MKL, Accelerate, a system BLAS)
-are left alone.
+``limit(n)`` holds the OpenBLAS library shipped inside the numpy wheel to
+at most ``n`` threads for the duration of a block and restores the previous
+count on exit. Builds without a bundled OpenBLAS (MKL, Accelerate, a system
+BLAS) are left alone.
 
-The thread count is a property of the whole process, so scopes entered from
-several threads share it: the first scope in saves the count and sets it to
-one, the last scope out restores it.
+The thread count is a property of the whole process, not of a thread.
+Scopes entered from several threads share it: the first scope in saves the
+count, while scopes are open it is the smallest of their limits (never more
+than the saved count), and the last scope out restores it. Code outside any
+scope is held too while another thread is inside one: while one
+``fit_group`` call is in its pool or its noise draws, the unscoped
+voxel-wide products of a concurrent call run on the held count.
 """
 
 import ctypes
@@ -62,27 +66,26 @@ def _openblas() -> _Threads | None:
 
 
 _lock = threading.Lock()
-_depth = 0
+_limits: list[int] = []  # the limits of the scopes now open
 _saved = 0
 
 
 @contextmanager
-def single_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore it."""
-    global _depth, _saved
+def limit(n_threads: int):
+    """Run the block with numpy's OpenBLAS on at most n_threads, then restore it."""
+    global _saved
     lib = _openblas()
     if lib is None:
         yield
         return
     with _lock:
-        if _depth == 0:
+        if not _limits:
             _saved = lib.get()
-            lib.set(1)
-        _depth += 1
+        _limits.append(n_threads)
+        lib.set(min([_saved, *_limits]))
     try:
         yield
     finally:
         with _lock:
-            _depth -= 1
-            if _depth == 0:
-                lib.set(_saved)
+            _limits.remove(n_threads)
+            lib.set(min([_saved, *_limits]))

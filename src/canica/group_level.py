@@ -125,7 +125,7 @@ def bootstrap_max_correlations(
     maxima = np.empty(n_boot)
     # The voxel-wide cross-Grams above keep the caller's BLAS threads; each
     # draw below works on frame-sized matrices, which extra threads only slow.
-    with _blas.single_thread():
+    with _blas.limit(1):
         for draw in range(n_boot):
             rng = streams.substream(seed, streams.CCA_NOISE_BOOT, draw)
             idx = [rng.integers(0, frames[s], size=frames[s]) for s in range(n_subjects)]

@@ -4,11 +4,17 @@ This module owns the run configuration and the ``fit_group`` orchestration
 used both by the command line and by the split-half harness. Per-subject
 work fans out over a thread pool; results are keyed by subject index and
 all randomness is derived from the configured seed, so output is identical
-regardless of worker count. ``CANICA_THREADS`` caps the pool. The pool is
-the parallelism: a subject's work is many small frame-Gram eigenproblems,
-too small for BLAS threads to speed up, so while the pool runs numpy's
-bundled OpenBLAS is held to one thread, and each worker keeps one core busy
-estimating instead of sharing it with idle BLAS threads.
+regardless of worker count. ``CANICA_THREADS`` caps the pool.
+
+While the pool runs, numpy's bundled OpenBLAS is held to the machine's
+cores divided among the subjects (``blas_threads``). A subject's work is
+mostly small frame-Gram eigenproblems, which BLAS threads do not speed up:
+with at least as many subjects as cores each worker runs on one BLAS
+thread and keeps one core busy estimating instead of sharing it with idle
+BLAS threads, and with fewer subjects the spare cores go to each subject's
+voxel-wide products. The share depends on the subject count, never on the
+pool's width, because a large product's last bits depend on its BLAS
+thread count: sharing by workers would let ``CANICA_THREADS`` change them.
 """
 
 import dataclasses
@@ -229,6 +235,11 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
+def blas_threads(n_subjects: int) -> int:
+    """BLAS threads per subject while the pool runs: the cores shared out."""
+    return max(1, (os.cpu_count() or 1) // n_subjects)
+
+
 def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
     """Run the full estimation pipeline on one group of subjects."""
     config.validate()
@@ -263,7 +274,7 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
             reduction = dataclasses.replace(reduction, stability_curve=curve)
         return reduction.selected_order, curve, reduction
 
-    with _blas.single_thread(), ThreadPoolExecutor(
+    with _blas.limit(blas_threads(len(subjects))), ThreadPoolExecutor(
         max_workers=worker_count(len(subjects))
     ) as pool:
         staged = list(pool.map(subject_stage, range(len(subjects))))

@@ -73,11 +73,11 @@ class SubjectReduction:
 
     @property
     def has_noise(self) -> bool:
-        """Whether the residual holds a live direction under the rank rule.
+        """Whether the residual's energy exceeds the rank rule's dead level.
 
-        The rule is applied against the subject's own spectrum, so the
-        rounding left behind by a reduction that kept the whole numerical
-        rank counts as no noise, as an all-zero residual does.
+        The level is that of the subject's top eigenvalue, so the rounding
+        left behind by a reduction that kept the whole numerical rank counts
+        as no noise, as an all-zero residual does.
         """
         e = self.noise_residual.values
         return float(np.vdot(e, e)) > _dead_level(self.singular_values[0] ** 2, *e.shape)
