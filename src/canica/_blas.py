@@ -1,8 +1,13 @@
-"""Scoped thread limits for numpy's bundled OpenBLAS.
+"""Thread counts: the worker pools' cap, and scoped limits for OpenBLAS.
 
-The bootstraps run many small eigenproblems, each far too small for BLAS
-threads to help: when several of them run at once, on the per-subject pool
-or in a draw loop, extra BLAS threads only spin and compete for the cores.
+``worker_count`` sizes the thread pools that fan out independent work (the
+subjects of a fit, the chunks of noise-bootstrap draws), capped by
+``CANICA_THREADS``.
+
+The bootstraps run many small eigenproblems, batched into stacked LAPACK
+calls that are still far too small for BLAS threads to help: when several
+of them run at once, on the per-subject pool or on the noise bootstrap's
+chunk pool, extra BLAS threads only spin and compete for the cores.
 ``limit(n)`` holds the OpenBLAS library shipped inside the numpy wheel to
 at most ``n`` threads for the duration of a block and restores the previous
 count on exit. Builds without a bundled OpenBLAS (MKL, Accelerate, a system
@@ -28,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 # C entry points of numpy's OpenBLAS builds, newest wheel naming first. The
 # ``..._64_`` forms, also exported, are the Fortran ones taking a pointer.
 _SYMBOL_FORMS = (
@@ -35,6 +42,21 @@ _SYMBOL_FORMS = (
     "openblas_{}_num_threads64_",
     "openblas_{}_num_threads",
 )
+
+
+def worker_count(n_tasks: int) -> int:
+    """Pool size for fanning out n_tasks, capped by CANICA_THREADS."""
+    env = os.environ.get("CANICA_THREADS")
+    if env is None:
+        cap = os.cpu_count() or 1
+    else:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ConfigError(f"CANICA_THREADS must be an integer, got {env!r}")
+        if cap < 1:
+            raise ConfigError(f"CANICA_THREADS must be >= 1, got {cap}")
+    return max(1, min(cap, n_tasks))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ singular value obtained by re-whitening frame-resampled copies of each
 subject's noise residual and stacking those instead.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,15 @@ import numpy as np
 from . import _blas, streams
 from .data_model import DataMatrix, RowKind
 from .errors import BadDimension, EmptyGroup, EmptyNoise, NumericalFailure
-from .subject_level import SubjectReduction, _thin_svd, _whiten, nearest_rank_quantile
+from .subject_level import (
+    SubjectReduction,
+    _thin_svd,
+    _whiten,
+    draw_chunks,
+    nearest_rank_quantile,
+    resample_frames,
+    resampled,
+)
 
 DEFAULT_N_BOOT = 100
 DEFAULT_ALPHA = 0.05
@@ -103,6 +112,13 @@ def bootstrap_max_correlations(
     across subjects, and records the largest singular value. The stack's
     Gram has blocks W_a^T G_ab W_b built from the residual cross-Grams G_ab,
     so the cost per draw is independent of the voxel count.
+
+    The draws are batched in chunks: per chunk, one stacked whitening per
+    subject, one stacked block product per subject pair and one stacked
+    eigenvalue call. Frame counts may differ between subjects, so the stack
+    axis is the draws. The chunks run on up to ``_blas.worker_count``
+    threads; each fills its own slice of the result, so the result does not
+    depend on the number of threads.
     """
     if len(reductions) < 2:
         raise EmptyGroup("noise bootstrap needs at least 2 subjects")
@@ -122,28 +138,33 @@ def bootstrap_max_correlations(
             grams[a, b] = residuals[a] @ residuals[b].T
     offsets = np.concatenate([[0], np.cumsum(orders)])
     total = int(offsets[-1])
+    idx = resample_frames(seed, streams.CCA_NOISE_BOOT, n_boot, frames)
     maxima = np.empty(n_boot)
-    # The voxel-wide cross-Grams above keep the caller's BLAS threads; each
-    # draw below works on frame-sized matrices, which extra threads only slow.
-    with _blas.limit(1):
-        for draw in range(n_boot):
-            rng = streams.substream(seed, streams.CCA_NOISE_BOOT, draw)
-            idx = [rng.integers(0, frames[s], size=frames[s]) for s in range(n_subjects)]
-            maps = [
-                _whiten(grams[s, s][np.ix_(idx[s], idx[s])], orders[s], n_voxels)[2]
-                for s in range(n_subjects)
-            ]
-            stack_gram = np.empty((total, total))
-            for a in range(n_subjects):
-                ra = slice(offsets[a], offsets[a + 1])
-                for b in range(a, n_subjects):
-                    rb = slice(offsets[b], offsets[b + 1])
-                    block = maps[a].T @ grams[a, b][np.ix_(idx[a], idx[b])] @ maps[b]
-                    stack_gram[ra, rb] = block
-                    if a != b:
-                        stack_gram[rb, ra] = block.T
-            top = np.linalg.eigvalsh(stack_gram)[-1]
-            maxima[draw] = np.sqrt(max(top, 0.0))
+
+    def run_chunk(draws: slice) -> None:
+        i = [x[draws] for x in idx]
+        maps = [
+            _whiten(resampled(grams[s, s], i[s], i[s]), orders[s], n_voxels)[2]
+            for s in range(n_subjects)
+        ]
+        stack_gram = np.empty((len(i[0]), total, total))
+        for a in range(n_subjects):
+            ra = slice(offsets[a], offsets[a + 1])
+            for b in range(a, n_subjects):
+                rb = slice(offsets[b], offsets[b + 1])
+                block = (maps[a].transpose(0, 2, 1)
+                         @ resampled(grams[a, b], i[a], i[b]) @ maps[b])
+                stack_gram[:, ra, rb] = block
+                if a != b:
+                    stack_gram[:, rb, ra] = block.transpose(0, 2, 1)
+        top = np.linalg.eigvalsh(stack_gram)[:, -1]
+        maxima[draws] = np.sqrt(np.maximum(top, 0.0))
+
+    chunks = draw_chunks(n_boot, 8 * max(max(frames) ** 2, total**2))
+    # The voxel-wide cross-Grams above keep the caller's BLAS threads; the
+    # chunks work on frame-sized matrices, which extra BLAS threads only slow.
+    with _blas.limit(1), ThreadPoolExecutor(_blas.worker_count(len(chunks))) as pool:
+        list(pool.map(run_chunk, chunks))
     return maxima
 
 

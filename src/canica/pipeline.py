@@ -2,9 +2,12 @@
 
 This module owns the run configuration and the ``fit_group`` orchestration
 used both by the command line and by the split-half harness. Per-subject
-work fans out over a thread pool; results are keyed by subject index and
-all randomness is derived from the configured seed, so output is identical
-regardless of worker count. ``CANICA_THREADS`` caps the pool.
+work fans out over a thread pool, and so do the chunks of the noise
+threshold's batched bootstrap draws; results are keyed by subject index or
+draw, and all randomness is derived from the configured seed, so output is
+identical regardless of worker count. ``CANICA_THREADS`` caps both pools.
+The standardized series are released once the subject pool ends, so the
+noise bootstrap's chunks run in the memory they occupied.
 
 While the pool runs, numpy's bundled OpenBLAS is held to the machine's
 cores divided among the subjects (``blas_threads``). A subject's work is
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _blas, streams
+from ._blas import worker_count
 from .data_model import GroupDataset, standardize
 from .errors import BadDimension, ConfigError
 from .group_level import (
@@ -220,21 +224,6 @@ class FitResult:
         return 0 if self.subspace is None else self.subspace.k
 
 
-def worker_count(n_tasks: int) -> int:
-    """Pool size for per-subject fan-out, capped by CANICA_THREADS."""
-    env = os.environ.get("CANICA_THREADS")
-    if env is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"CANICA_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ConfigError(f"CANICA_THREADS must be >= 1, got {cap}")
-    return max(1, min(cap, n_tasks))
-
-
 def blas_threads(n_subjects: int) -> int:
     """BLAS threads per subject while the pool runs: the cores shared out."""
     return max(1, (os.cpu_count() or 1) // n_subjects)
@@ -278,12 +267,16 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
         max_workers=worker_count(len(subjects))
     ) as pool:
         staged = list(pool.map(subject_stage, range(len(subjects))))
+    subject_ids = tuple(s.subject_id for s in subjects)
+    # Only the ids are used from here on: free the standardized copies before
+    # the noise bootstrap needs its working memory.
+    del subjects
     orders = tuple(s[0] for s in staged)
     curves = tuple(s[1] for s in staged)
     reductions = tuple(s[2] for s in staged if s[2] is not None)
 
     base = FitResult(
-        subject_ids=tuple(s.subject_id for s in subjects),
+        subject_ids=subject_ids,
         selected_orders=orders,
         stability_curves=curves,
         n_voxels=n_voxels,

@@ -30,10 +30,14 @@ The selected order is the largest n such that for every m <= n the mean
 gain over bootstrap draws strictly exceeds the chosen quantile of the
 null distribution of per-draw gains at order m, with candidates beyond
 the numerical rank of the data failing automatically. Each draw costs
-O(f^3), independent of the voxel count.
+O(f^3), independent of the voxel count. The draws are batched: each chunk
+of them is one gather, one stacked eigendecomposition and one stacked
+product, which numpy runs in LAPACK and BLAS outside the interpreter.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +47,10 @@ from .errors import BadDimension, NumericalFailure
 
 DEFAULT_N_BOOT = 100
 DEFAULT_QUANTILE = 0.95
+# Bytes of one stacked operand in a chunk of bootstrap draws: enough draws
+# per numpy call to amortize the interpreter, few enough that the chunks'
+# working sets stay small next to the data.
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -89,26 +97,62 @@ def _dead_level(lambda_max: float, n_frames: int, n_voxels: int) -> float:
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
-    """Empirical quantile with the nearest-rank rule, ceil(q * n)."""
+    """Empirical quantile with the nearest-rank rule, ceil(q * n).
+
+    The rank is exact for q's shortest decimal form: q = 0.55 of 100 values
+    is the 55th, though the binary product 0.55 * 100 exceeds 55.
+    """
     values = np.sort(np.asarray(values, dtype=float))
-    idx = max(int(np.ceil(q * values.size)) - 1, 0)
+    idx = max(math.ceil(Fraction(repr(float(q))) * values.size) - 1, 0)
     return float(values[idx])
+
+
+def draw_chunks(n_boot: int, draw_bytes: int) -> list[slice]:
+    """Consecutive runs of draws whose stacked operands fit CHUNK_BYTES.
+
+    ``draw_bytes`` is the size of one draw's largest operand; a chunk holds
+    at least one draw.
+    """
+    size = max(1, CHUNK_BYTES // draw_bytes)
+    return [slice(a, min(a + size, n_boot)) for a in range(0, n_boot, size)]
+
+
+def resample_frames(
+    seed: int, purpose: int, n_boot: int, frames: list[int]
+) -> list[np.ndarray]:
+    """Frame indices of every bootstrap draw, one (n_boot, f) array per f.
+
+    Draw b resamples each of ``frames`` in turn, with replacement, from the
+    stream (seed, purpose, b).
+    """
+    rngs = [streams.substream(seed, purpose, b) for b in range(n_boot)]
+    return [np.stack([rng.integers(0, f, size=f) for rng in rngs]) for f in frames]
+
+
+def resampled(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stack of gram[rows[b]][:, cols[b]] over the draws b."""
+    # one flat index gathers about twice as fast as two broadcast index arrays
+    return np.take(gram, (rows * gram.shape[1])[:, :, None] + cols[:, None, :])
 
 
 def _whiten(gram: np.ndarray, order: int, n_voxels: int):
     """Descending sqrt(lambda), numerical rank and whitening map of a Gram.
 
     The map's ``order`` columns are V/sqrt(lambda), zero on dead directions.
+    A stack of Grams (..., f, f) gives stacked results: each matrix has the
+    dead level of its own top eigenvalue, and the rank is an array.
     """
     try:
         evals, evecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
-    evals, evecs = evals[::-1], evecs[:, ::-1][:, :order]
-    live = evals > _dead_level(evals[0], gram.shape[0], n_voxels)
+    evals, evecs = evals[..., ::-1], evecs[..., ::-1][..., :order]
+    live = evals > _dead_level(evals[..., :1], gram.shape[-1], n_voxels)
     s = np.sqrt(np.clip(evals, 0.0, None))
-    scale = np.divide(1.0, s[:order], out=np.zeros(order), where=live[:order])
-    return s, int(live.sum()), evecs * scale
+    top = s[..., :order]
+    scale = np.divide(1.0, top, out=np.zeros(top.shape), where=live[..., :order])
+    rank = live.sum(axis=-1)
+    return s, int(rank) if gram.ndim == 2 else rank, evecs * scale[..., None, :]
 
 
 def _thin_svd(x: np.ndarray, order: int):
@@ -155,13 +199,14 @@ def _bootstrap_gains(
 ) -> np.ndarray:
     """Per-draw subspace-energy gains, shape (n_boot, max_order)."""
     n_frames, max_order = ref_map.shape
+    (idx,) = resample_frames(seed, purpose, n_boot, [n_frames])
     gains = np.empty((n_boot, max_order))
-    for b in range(n_boot):
-        idx = streams.substream(seed, purpose, b).integers(0, n_frames, size=n_frames)
-        _, _, boot_map = _whiten(gram[np.ix_(idx, idx)], max_order, n_voxels)
-        overlap = boot_map.T @ gram[idx, :] @ ref_map
-        energy = (overlap**2).cumsum(axis=0).cumsum(axis=1).diagonal()
-        gains[b] = np.diff(energy, prepend=0.0)
+    for draws in draw_chunks(n_boot, gram.nbytes):
+        i = idx[draws]
+        _, _, boot_map = _whiten(resampled(gram, i, i), max_order, n_voxels)
+        overlap = boot_map.transpose(0, 2, 1) @ gram[i, :] @ ref_map
+        energy = (overlap**2).cumsum(axis=1).cumsum(axis=2).diagonal(axis1=1, axis2=2)
+        gains[draws] = np.diff(energy, axis=1, prepend=0.0)
     return gains
 
 

@@ -1,9 +1,20 @@
 import numpy as np
+from hypothesis import HealthCheck, settings
 
 from canica import make_group_patterns
-from canica.streams import substream
+from canica.streams import CCA_NOISE_BOOT, substream
+from canica.subject_level import _whiten
 
 EPS = np.finfo(float).eps
+
+# Fixed examples keep the suite's run time and results the same on every run.
+settings.register_profile(
+    "derandomized",
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+settings.load_profile("derandomized")
 
 
 def white_mixture(k, n_voxels, sparsity, seed):
@@ -77,3 +88,51 @@ def gram_tolerances(s, n_rows):
     gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
     with np.errstate(divide="ignore"):
         return np.minimum(noise / (2 * s), np.sqrt(noise)), noise / gap
+
+
+def reference_bootstrap_gains(gram, ref_map, n_voxels, n_boot, seed, purpose):
+    """Order-selection gains drawn one resampled Gram at a time."""
+    n_frames, max_order = ref_map.shape
+    gains = np.empty((n_boot, max_order))
+    for b in range(n_boot):
+        idx = substream(seed, purpose, b).integers(0, n_frames, size=n_frames)
+        _, _, boot_map = _whiten(gram[np.ix_(idx, idx)], max_order, n_voxels)
+        overlap = boot_map.T @ gram[idx, :] @ ref_map
+        energy = (overlap**2).cumsum(axis=0).cumsum(axis=1).diagonal()
+        gains[b] = np.diff(energy, prepend=0.0)
+    return gains
+
+
+def reference_max_correlations(reductions, n_boot, seed):
+    """Noise-bootstrap maxima drawn one stack of resampled residuals at a time."""
+    residuals = [r.noise_residual.values for r in reductions]
+    orders = [r.whitened_patterns.rows for r in reductions]
+    n_subjects = len(reductions)
+    frames = [e.shape[0] for e in residuals]
+    n_voxels = residuals[0].shape[1]
+    grams = {}
+    for a in range(n_subjects):
+        for b in range(a, n_subjects):
+            grams[a, b] = residuals[a] @ residuals[b].T
+    offsets = np.concatenate([[0], np.cumsum(orders)])
+    total = int(offsets[-1])
+    maxima = np.empty(n_boot)
+    for draw in range(n_boot):
+        rng = substream(seed, CCA_NOISE_BOOT, draw)
+        idx = [rng.integers(0, frames[s], size=frames[s]) for s in range(n_subjects)]
+        maps = [
+            _whiten(grams[s, s][np.ix_(idx[s], idx[s])], orders[s], n_voxels)[2]
+            for s in range(n_subjects)
+        ]
+        stack_gram = np.empty((total, total))
+        for a in range(n_subjects):
+            ra = slice(offsets[a], offsets[a + 1])
+            for b in range(a, n_subjects):
+                rb = slice(offsets[b], offsets[b + 1])
+                block = maps[a].T @ grams[a, b][np.ix_(idx[a], idx[b])] @ maps[b]
+                stack_gram[ra, rb] = block
+                if a != b:
+                    stack_gram[rb, ra] = block.T
+        top = np.linalg.eigvalsh(stack_gram)[-1]
+        maxima[draw] = np.sqrt(max(top, 0.0))
+    return maxima

@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canica import (
@@ -37,15 +37,6 @@ def cnic_like(draw):
     size = 8 * rows * cols if rows * cols <= 9 else 0
     payload = draw(st.binary(min_size=size, max_size=size) | st.binary(max_size=80))
     return MAGIC + bytes([version]) + struct.pack("<QQB", rows, cols, kind) + payload
-
-
-# Fixed examples keep the suite's run time and results the same on every run.
-PROPERTY = settings(
-    max_examples=200,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
 
 
 def series_from(values):
@@ -193,7 +184,7 @@ class TestBinaryFormat:
         with pytest.raises(NonFiniteValue):
             read_matrix(path)
 
-    @PROPERTY
+    @settings(max_examples=200)
     @given(blob=st.binary(max_size=64) | cnic_like())
     @example(blob=MAGIC + bytes([VERSION]) + struct.pack("<QQB", 1, 1, 0) + bytes(8))
     def test_any_bytes_read_as_a_matrix_or_a_data_error(self, tmp_path, blob):

@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canica import (
     DataMatrix,
@@ -14,9 +19,11 @@ from canica import (
     standardize,
     svd_reduce,
 )
+from canica import subject_level
 from canica.errors import BadDimension, EmptyGroup, EmptyNoise
-from canica.streams import substream
-from conftest import gram_tolerances, reference_svd
+from canica.streams import CCA_NOISE_BOOT, substream
+from canica.subject_level import _whiten, resample_frames
+from conftest import gram_tolerances, reference_max_correlations, reference_svd
 
 
 def reduction_from(patterns, residual=None, subject_id="s"):
@@ -154,6 +161,17 @@ class TestNoiseThreshold:
         vals = np.arange(1.0, 101.0)
         assert nearest_rank_quantile(vals, 0.95) == 95.0
         assert nearest_rank_quantile(vals, 0.5) == 50.0
+        for n in (50, 40, 25):
+            assert nearest_rank_quantile(vals[:n], 0.95) == math.ceil(0.95 * n)
+        # 0.55 * 100 is 55.000000000000007 in binary
+        assert nearest_rank_quantile(vals, 1 - 0.45) == 55.0
+        assert nearest_rank_quantile(np.arange(1.0, 201.0), 0.55) == 110.0
+
+    @settings(max_examples=200)
+    @given(hundredths=st.integers(1, 99), n=st.integers(1, 500))
+    def test_quantile_rank_is_exact_for_two_decimal_q(self, hundredths, n):
+        rank = math.ceil(Fraction(hundredths, 100) * n)
+        assert nearest_rank_quantile(np.arange(1.0, n + 1.0), hundredths / 100) == rank
 
     def test_empty_noise_rejected(self):
         p = random_orthonormal_rows(2, 30, seed=8)
@@ -178,6 +196,50 @@ class TestNoiseThreshold:
         t1 = noise_threshold(reds, n_boot=25, seed=3)
         t2 = noise_threshold(reds, n_boot=25, seed=3)
         assert t1 == t2
+
+    def unequal_reductions(self):
+        """Unequal frame counts and orders; 6-frame resamples lose rank."""
+        shapes = [(30, 4), (24, 2), (6, 5), (41, 3)]
+        return [
+            reduction_from(
+                random_orthonormal_rows(order, 120, seed=s),
+                residual=substream(s, 0xAF).standard_normal((frames, 120)),
+                subject_id=f"s{s}",
+            )
+            for s, (frames, order) in enumerate(shapes)
+        ]
+
+    @pytest.mark.parametrize("n_boot", [23, 37])
+    @pytest.mark.parametrize("chunk_draws", [1, 5, None])
+    def test_equal_to_the_per_draw_loop(self, monkeypatch, n_boot, chunk_draws):
+        reds = self.unequal_reductions()
+        if chunk_draws is not None:
+            # the 41-frame subject's resampled Gram is the largest operand
+            monkeypatch.setattr(subject_level, "CHUNK_BYTES", chunk_draws * 8 * 41**2)
+        maxima = bootstrap_max_correlations(reds, n_boot=n_boot, seed=4)
+        assert np.array_equal(maxima, reference_max_correlations(reds, n_boot, 4))
+
+    def test_unequal_subjects_include_rank_deficient_resamples(self):
+        # the 6-frame subject's resamples mix ranks, so a chunk's stack holds
+        # matrices with different dead levels and zero map columns
+        e = self.unequal_reductions()[2].noise_residual.values
+        gram = e @ e.T
+        idx = resample_frames(4, CCA_NOISE_BOOT, 37, [30, 24, 6, 41])[2]
+        _, ranks, maps = _whiten(gram[idx[:, :, None], idx[:, None, :]], 5, 120)
+        assert (ranks < 5).any() and (ranks == 5).any()
+        assert (np.abs(maps).sum(axis=1) == 0).any()
+
+    def test_chunks_on_any_thread_count_give_identical_maxima(self, monkeypatch):
+        reds = self.make_noise_reductions(seed=2, n_sub=3, f=20, v=80, order=3)
+        # 37 draws in 10 chunks: 20 frames make the resampled Grams the largest operands
+        monkeypatch.setattr(subject_level, "CHUNK_BYTES", 4 * 8 * 20**2)
+        results = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("CANICA_THREADS", threads)
+            results.append(noise_threshold(reds, n_boot=37, seed=5))
+            results.append(bootstrap_max_correlations(reds, n_boot=37, seed=5))
+        assert results[0] == results[2]
+        assert np.array_equal(results[1], results[3])
 
     def test_pure_noise_rejects_everything(self):
         hits = 0

@@ -4,11 +4,12 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import canica
@@ -21,6 +22,7 @@ from canica import (
     simulate_group,
     write_matrix,
 )
+from canica import pipeline
 from canica.cli import main
 from canica.errors import ConfigError
 from canica.pipeline import NO_SUBSPACE_MESSAGE, worker_count
@@ -54,13 +56,6 @@ MANIFEST_LIKE = st.fixed_dictionaries(
             max_size=3,
         ),
     },
-)
-# Few fixed examples keep the suite's run time and results the same on every run.
-PROPERTY = settings(
-    max_examples=60,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
 
@@ -116,7 +111,7 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(**{field: value}).validate()
 
-    @PROPERTY
+    @settings(max_examples=60)
     @given(value=JSON_VALUES | CONFIG_LIKE | st.binary(max_size=16))
     @example(value=b"\xff\xfe{")
     def test_any_config_file_is_validated_or_rejected(self, tmp_path, value):
@@ -193,6 +188,29 @@ class TestFitGroup:
         assert [r.selected_order for r in result.reductions] == [23] * 4
         assert [r.whitened_patterns.rows for r in result.reductions] == [23] * 4
 
+    def test_standardized_series_are_released_before_the_noise_threshold(
+        self, monkeypatch
+    ):
+        standardize, noise_threshold = pipeline.standardize, pipeline.noise_threshold
+        standardized, alive = [], []
+
+        def tracked_standardize(series):
+            out = standardize(series)
+            standardized.extend([weakref.ref(out), weakref.ref(out.data.values)])
+            return out
+
+        def checked_noise_threshold(*args, **kwargs):
+            alive.extend(ref() is not None for ref in standardized)
+            return noise_threshold(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "standardize", tracked_standardize)
+        monkeypatch.setattr(pipeline, "noise_threshold", checked_noise_threshold)
+        data = simulate_group(4, 30, 100, 1, 0.3, 0.3, 0.05, seed=3)
+        result = fit_group(data.dataset, PipelineConfig(fixed_order=2, cca_n_boot=20,
+                                                        seed=3))
+        assert result.subject_ids == tuple(s.subject_id for s in data.dataset.subjects)
+        assert alive == [False] * 8
+
     def test_full_rank_reduction_leaves_no_noise_to_calibrate(self):
         # order 30 keeps all 23 directions; the residual is rounding (~1e-13)
         data = simulate_group(4, 24, 300, 2, 0.3, 0.3, 0.05, seed=10)
@@ -206,7 +224,7 @@ class TestFitGroup:
         )
 
     @given(threads=st.integers(1, 8))
-    @settings(PROPERTY, max_examples=6)
+    @settings(max_examples=6)
     def test_any_thread_cap_gives_identical_results(self, monkeypatch, serial_fit,
                                                     threads):
         # order selection, not a fixed order, so the pinned pool's bootstrap runs
@@ -481,7 +499,7 @@ class TestCli:
             text = capsys.readouterr().out
             assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)) == options
 
-    @PROPERTY
+    @settings(max_examples=60)
     @given(value=JSON_VALUES | MANIFEST_LIKE | st.binary(max_size=16))
     @example(value=[])
     @example(value={"command": "split-half", "result": {}})

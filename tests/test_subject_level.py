@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg as sla
 
 from canica import (
@@ -13,9 +15,11 @@ from canica import (
     standardize,
     svd_reduce,
 )
+from canica import subject_level
 from canica.errors import BadDimension
-from canica.streams import substream
-from conftest import gram_tolerances, reference_svd
+from canica.streams import ORDER_DATA_BOOT, substream
+from canica.subject_level import _bootstrap_gains, _whiten
+from conftest import gram_tolerances, reference_bootstrap_gains, reference_svd
 
 
 def series_of(values):
@@ -170,3 +174,59 @@ class TestSelectOrder:
             select_order(series, max_order=31, n_boot=20)  # > min(f, v)/2
         with pytest.raises(BadDimension):
             select_order(series, max_order=5, n_boot=10)  # too few draws
+
+
+def low_rank_gram(n_frames, rank, n_voxels, seed):
+    """Frame Gram of a standard normal series with ``rank`` directions."""
+    rng = substream(seed, 0xF00F)
+    y = rng.standard_normal((n_frames, rank)) @ rng.standard_normal((rank, n_voxels))
+    return y @ y.T
+
+
+class TestBatchedDraws:
+    @settings(max_examples=40)
+    @given(
+        exponents=st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        n_frames=st.integers(2, 12),
+        rank=st.integers(1, 12),
+        order=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_whiten_equals_whiten_of_each_matrix(
+        self, exponents, n_frames, rank, order, seed
+    ):
+        # scales far apart: each matrix's dead level must come from its own top
+        rank, order = min(rank, n_frames), min(order, n_frames)
+        grams = np.stack([
+            low_rank_gram(n_frames, rank, 30, seed + i) * 10.0**e
+            for i, e in enumerate(exponents)
+        ])
+        s, ranks, maps = _whiten(grams, order, 30)
+        assert ranks.shape == (len(exponents),)
+        for g, s_g, rank_g, map_g in zip(grams, s, ranks, maps):
+            one = _whiten(g, order, 30)
+            assert isinstance(one[1], int)
+            assert np.array_equal(s_g, one[0])
+            assert rank_g == one[1]
+            assert np.array_equal(map_g, one[2])
+
+    @pytest.mark.parametrize("n_boot", [23, 37])
+    @pytest.mark.parametrize("chunk_draws", [1, 5, None])
+    @pytest.mark.parametrize(
+        "n_frames, rank, max_order",
+        [(30, 30, 7), (24, 3, 6), (41, 41, 12)],
+    )
+    def test_equal_to_the_per_draw_loop(
+        self, monkeypatch, n_boot, chunk_draws, n_frames, rank, max_order
+    ):
+        # rank 3 under order 6 leaves dead directions, and zero map columns,
+        # in the reference map and in every resample
+        if chunk_draws is not None:
+            monkeypatch.setattr(
+                subject_level, "CHUNK_BYTES", chunk_draws * 8 * n_frames**2
+            )
+        gram = low_rank_gram(n_frames, rank, 200, seed=n_frames)
+        _, _, ref_map = _whiten(gram, max_order, 200)
+        args = (gram, ref_map, 200, n_boot, 11, ORDER_DATA_BOOT)
+        assert np.array_equal(_bootstrap_gains(*args), reference_bootstrap_gains(*args))
+
