@@ -49,16 +49,55 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _column_text(column) -> list[str]:
+    """Cells of one column: integers and booleans as ``str``, floats as .17g."""
+    values = np.asarray(column)
+    text = str if values.dtype.kind in "biu" else "{:.17g}".format
+    return list(map(text, values.tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (int, bool)) else _fmt(c)
-                              for c in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns as a CSV table under ``header``.
+
+    .17g prints every double so that it reads back bit for bit.
+    """
+    rows = zip(*map(_column_text, columns))
+    path.write_text("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
+
+
+class _Outputs:
+    """A command's output directory and the names of the files written to it.
+
+    Every output file goes through one of the writers, which records its
+    name, so the manifest digests exactly the files this run wrote.
+    """
+
+    def __init__(self, directory: str):
+        self.root = Path(directory)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.names: list[str] = []
+
+    def _path(self, name: str) -> Path:
+        path = self.root / name
+        path.parent.mkdir(exist_ok=True)
+        self.names.append(name)
+        return path
+
+    def matrix(self, name: str, matrix: DataMatrix) -> None:
+        # the module's own name, so a tracer that wraps cli.write_matrix times it
+        write_matrix(matrix, self._path(name))
+
+    def csv(self, name: str, header: list[str], columns) -> None:
+        _write_csv(self._path(name), header, columns)
+
+    def json(self, name: str, payload: dict) -> None:
+        _write_json(self._path(name), payload)
+
+    def manifest(self, **fields) -> None:
+        """Write manifest.json: ``fields`` plus the digest of each recorded file."""
+        fields["outputs"] = {name: _sha256(self.root / name)
+                             for name in sorted(self.names)}
+        _write_json(self.root / "manifest.json", fields)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +120,14 @@ def _config_from_args(args) -> PipelineConfig:
     return dataclasses.replace(config, **updates).validate()
 
 
+def _run_config(args) -> PipelineConfig:
+    """The validated config of a command that writes into ``--out``."""
+    config = _config_from_args(args)
+    if not config.output_dir:
+        raise ConfigError("an output directory is required (--out)")
+    return config
+
+
 def _load_subjects(input_dir: str | None) -> tuple[GroupDataset, dict[str, str]]:
     if not input_dir:
         raise ConfigError("an input directory is required (--input)")
@@ -100,21 +147,14 @@ def _load_subjects(input_dir: str | None) -> tuple[GroupDataset, dict[str, str]]
     return GroupDataset(tuple(subjects)), digests
 
 
-def _digest_outputs(out: Path, names) -> dict[str, str]:
-    return {name: _sha256(out / name) for name in sorted(names)}
-
-
 def cmd_simulate(args) -> int:
-    config = _config_from_args(args)
-    if not config.output_dir:
-        raise ConfigError("an output directory is required (--out)")
+    config = _run_config(args)
     if config.n_frames * config.n_voxels > MAX_ELEMENTS:
         raise ConfigError(
             f"n_frames * n_voxels must be at most {MAX_ELEMENTS}, the CNIC1 "
             f"element limit, got {config.n_frames} x {config.n_voxels}"
         )
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    outputs = _Outputs(config.output_dir)
     data = simulate_group(
         config.S,
         config.n_frames,
@@ -125,41 +165,30 @@ def cmd_simulate(args) -> int:
         config.sigma_R,
         config.seed,
     )
-    written = []
     for i, subject in enumerate(data.dataset.subjects):
-        name = f"subject_{i:03d}.cnic"
-        write_matrix(subject.data, out / name)
-        written.append(name)
+        outputs.matrix(f"subject_{i:03d}.cnic", subject.data)
     truth_file = None
     if config.k_true >= 1:
         truth_file = "truth_patterns.cnic"
-        write_matrix(data.truth.group_patterns, out / truth_file)
-        written.append(truth_file)
-    _write_json(
-        out / "manifest.json",
-        {
-            "command": "simulate",
-            "config": config.to_dict(),
-            "outputs": _digest_outputs(out, written),
-            "truth": {"k_true": config.k_true, "patterns_file": truth_file},
-        },
+        outputs.matrix(truth_file, data.truth.group_patterns)
+    outputs.manifest(
+        command="simulate",
+        config=config.to_dict(),
+        truth={"k_true": config.k_true, "patterns_file": truth_file},
     )
-    print(f"simulate: wrote {config.S} subjects to {out}")
+    print(f"simulate: wrote {config.S} subjects to {outputs.root}")
     return 0
 
 
-def _write_components(out: Path, rows, fits, maps, written: list) -> list[dict]:
+def _write_components(outputs: _Outputs, rows, fits, maps) -> list[dict]:
     """Write one voxel table per component map and return their summaries."""
     summaries = []
     for row, fit, tmap in zip(rows, fits, maps):
-        name = f"component_{tmap.component_index:03d}.csv"
-        zscores = (row - fit.mu) / fit.sigma
-        _write_csv(
-            out / name,
+        outputs.csv(
+            f"component_{tmap.component_index:03d}.csv",
             ["voxel", "value", "z", "selected"],
-            zip(range(row.size), row, zscores, tmap.selected.tolist()),
+            [np.arange(row.size), row, (row - fit.mu) / fit.sigma, tmap.selected],
         )
-        written.append(name)
         summaries.append(
             {
                 "component": tmap.component_index,
@@ -173,24 +202,16 @@ def _write_components(out: Path, rows, fits, maps, written: list) -> list[dict]:
     return summaries
 
 
-def _write_fit_outputs(out: Path, result: FitResult) -> dict:
-    written = []
-
-    def emit_matrix(name, values, kind):
-        write_matrix(DataMatrix(values, kind), out / name)
-        written.append(name)
-
+def _write_fit_outputs(outputs: _Outputs, result: FitResult) -> dict:
+    """Write a fit's tables and matrices and return its manifest summary."""
     for curve, subject_id in zip(result.stability_curves, result.subject_ids):
         if curve is None:
             continue
-        name = f"order_curve_{subject_id}.csv"
-        _write_csv(
-            out / name,
+        outputs.csv(
+            f"order_curve_{subject_id}.csv",
             ["order", "data_stability", "null_quantile", "passed"],
-            zip(curve.orders.tolist(), curve.data_stability,
-                curve.null_quantile, curve.passed.tolist()),
+            [curve.orders, curve.data_stability, curve.null_quantile, curve.passed],
         )
-        written.append(name)
 
     summary = {
         "subjects": list(result.subject_ids),
@@ -200,56 +221,41 @@ def _write_fit_outputs(out: Path, result: FitResult) -> dict:
         "message": result.message,
     }
     if result.correlations_full is not None:
-        thr = result.threshold
-        _write_csv(
-            out / "scree.csv",
+        z = result.correlations_full
+        outputs.csv(
+            "scree.csv",
             ["index", "correlation", "correlation_squared", "threshold"],
-            (
-                (i, z, z * z, thr)
-                for i, z in enumerate(result.correlations_full.tolist())
-            ),
+            [np.arange(z.size), z, z * z, np.full(z.size, result.threshold)],
         )
-        written.append("scree.csv")
     if result.subspace is not None and result.k >= 1:
-        emit_matrix("group_patterns.cnic", result.subspace.group_patterns.values,
-                    RowKind.PATTERNS)
-        emit_matrix("loadings.cnic", result.subspace.loadings, RowKind.PATTERNS)
+        outputs.matrix("group_patterns.cnic", result.subspace.group_patterns)
+        outputs.matrix("loadings.cnic",
+                       DataMatrix(result.subspace.loadings, RowKind.PATTERNS))
         summary["correlations"] = result.subspace.canonical_correlations.tolist()
         summary["residual_ss"] = result.subspace.residual_ss
     if result.ica is not None:
-        emit_matrix("components.cnic", result.ica.components.values,
-                    RowKind.COMPONENTS)
-        emit_matrix("mixing.cnic", result.ica.mixing, RowKind.PATTERNS)
+        outputs.matrix("components.cnic", result.ica.components)
+        outputs.matrix("mixing.cnic", DataMatrix(result.ica.mixing, RowKind.PATTERNS))
         summary["ica"] = {
             "converged": result.ica.converged,
             "n_iterations": result.ica.n_iterations,
             "nonlinearity": result.ica.nonlinearity,
         }
         summary["components"] = _write_components(
-            out, result.ica.components.values, result.null_fits,
-            result.thresholded_maps, written,
+            outputs, result.ica.components.values, result.null_fits,
+            result.thresholded_maps,
         )
-    return {"summary": summary, "written": written}
+    return summary
 
 
 def cmd_fit(args) -> int:
-    config = _config_from_args(args)
-    if not config.output_dir:
-        raise ConfigError("an output directory is required (--out)")
+    config = _run_config(args)
     dataset, input_digests = _load_subjects(config.input_dir)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    outputs = _Outputs(config.output_dir)
     result = fit_group(dataset, config)
-    emitted = _write_fit_outputs(out, result)
-    _write_json(
-        out / "manifest.json",
-        {
-            "command": "fit",
-            "config": config.to_dict(),
-            "inputs": input_digests,
-            "outputs": _digest_outputs(out, emitted["written"]),
-            "result": emitted["summary"],
-        },
+    summary = _write_fit_outputs(outputs, result)
+    outputs.manifest(
+        command="fit", config=config.to_dict(), inputs=input_digests, result=summary
     )
     if result.k == 0:
         print(f"fit: {result.message or 'no reproducible subspace'} (k=0)")
@@ -271,9 +277,7 @@ def _report_payload(report) -> dict:
 
 
 def cmd_split_half(args) -> int:
-    config = _config_from_args(args)
-    if not config.output_dir:
-        raise ConfigError("an output directory is required (--out)")
+    config = _run_config(args)
     # repeat r runs on seed + r, which must stay a distinct 64-bit key
     if config.seed + config.repeats - 1 >= 2**64:
         raise ConfigError(
@@ -281,26 +285,19 @@ def cmd_split_half(args) -> int:
             f"with {config.repeats} repeats"
         )
     dataset, input_digests = _load_subjects(config.input_dir)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    outputs = _Outputs(config.output_dir)
     repeats = []
     for r in range(config.repeats):
         result = split_half(dataset, seed=config.seed + r, config=config)
-        rep_dir = out / f"repeat_{r:03d}"
-        rep_dir.mkdir(exist_ok=True)
+        folder = f"repeat_{r:03d}"
         for mode, report in (("raw", result.raw),
                              ("thresholded", result.thresholded)):
             c = report.cross_correlation
             if c.size:
-                name = f"repeat_{r:03d}/c_{mode}.cnic"
-                write_matrix(DataMatrix(c, RowKind.PATTERNS), out / name)
-                written.append(name)
+                outputs.matrix(f"{folder}/c_{mode}.cnic", DataMatrix(c, RowKind.PATTERNS))
             counts, edges = overlap_histogram(report)
-            name = f"repeat_{r:03d}/histogram_{mode}.csv"
-            _write_csv(out / name, ["bin_low", "bin_high", "count"],
-                       zip(edges[:-1], edges[1:], counts.tolist()))
-            written.append(name)
+            outputs.csv(f"{folder}/histogram_{mode}.csv", ["bin_low", "bin_high", "count"],
+                        [edges[:-1], edges[1:], counts])
         payload = {
             "half_a": list(result.half_a_ids),
             "half_b": list(result.half_b_ids),
@@ -309,9 +306,7 @@ def cmd_split_half(args) -> int:
             "raw": _report_payload(result.raw),
             "thresholded": _report_payload(result.thresholded),
         }
-        name = f"repeat_{r:03d}/summary.json"
-        _write_json(out / name, payload)
-        written.append(name)
+        outputs.json(f"{folder}/summary.json", payload)
         repeats.append(payload)
 
     def aggregate(mode):
@@ -339,17 +334,9 @@ def cmd_split_half(args) -> int:
         "thresholded": aggregate("thresholded"),
         "component_count_histogram": k_counts,
     }
-    _write_json(out / "aggregate.json", summary)
-    written.append("aggregate.json")
-    _write_json(
-        out / "manifest.json",
-        {
-            "command": "split-half",
-            "config": config.to_dict(),
-            "inputs": input_digests,
-            "outputs": _digest_outputs(out, written),
-            "result": summary,
-        },
+    outputs.json("aggregate.json", summary)
+    outputs.manifest(
+        command="split-half", config=config.to_dict(), inputs=input_digests, result=summary
     )
     agg = summary["raw"]
     print(
@@ -363,22 +350,16 @@ def cmd_threshold(args) -> int:
     components_path = Path(args.components)
     matrix = read_matrix(components_path)
     p = _config_from_args(args).p_two_sided
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    outputs = _Outputs(args.out)
     fits = [fit_empirical_null(row, p_two_sided=p) for row in matrix.values]
     maps = [threshold_map(row, fit, component_index=i)
             for i, (row, fit) in enumerate(zip(matrix.values, fits))]
-    written = []
-    summaries = _write_components(out, matrix.values, fits, maps, written)
-    _write_json(
-        out / "manifest.json",
-        {
-            "command": "threshold",
-            "inputs": {components_path.name: _sha256(components_path)},
-            "p_two_sided": p,
-            "components": summaries,
-            "outputs": _digest_outputs(out, written),
-        },
+    summaries = _write_components(outputs, matrix.values, fits, maps)
+    outputs.manifest(
+        command="threshold",
+        inputs={components_path.name: _sha256(components_path)},
+        p_two_sided=p,
+        components=summaries,
     )
     print(f"threshold: processed {matrix.rows} components at p={p}")
     return 0

@@ -23,6 +23,7 @@ from . import _blas, streams
 from .data_model import DataMatrix, RowKind
 from .errors import BadDimension, EmptyGroup, EmptyNoise, NumericalFailure
 from .subject_level import (
+    MIN_BOOT,
     SubjectReduction,
     _thin_svd,
     _whiten,
@@ -122,8 +123,8 @@ def bootstrap_max_correlations(
     """
     if len(reductions) < 2:
         raise EmptyGroup("noise bootstrap needs at least 2 subjects")
-    if n_boot < 20:
-        raise BadDimension(f"need n_boot >= 20, got {n_boot}")
+    if n_boot < MIN_BOOT:
+        raise BadDimension(f"need n_boot >= {MIN_BOOT}, got {n_boot}")
     for r in reductions:
         if not r.has_noise:
             raise EmptyNoise(f"subject {r.subject_id!r} {NO_NOISE}")

@@ -45,6 +45,7 @@ from .group_level import (
 )
 from .source_separation import IcaDecomposition, fastica
 from .subject_level import (
+    MIN_BOOT,
     OrderSelectionCurve,
     SubjectReduction,
     order_stability,
@@ -75,6 +76,7 @@ FRACTION = Rule("must lie in (0, 1)", lambda v: 0 < v < 1)
 UNIT_INTERVAL = Rule("must lie in (0, 1]", lambda v: 0 < v <= 1)
 # Philox keys are 64-bit words: a larger seed would alias a smaller one.
 SEED = Rule("must lie in [0, 2**64)", lambda v: 0 <= v < 2**64)
+BOOTS = Rule(f"must be at least {MIN_BOOT}", lambda v: v >= MIN_BOOT)
 CONTRASTS = ("logcosh", "cube")
 CONTRAST = Rule(f"must be one of {list(CONTRASTS)}", lambda v: v in CONTRASTS, CONTRASTS)
 
@@ -129,7 +131,7 @@ class PipelineConfig:
     seed: int = _option(0, "--seed", RUN, SEED, "random seed in [0, 2**64)")
     # subject-level order selection
     max_order: int = _option(20, "--max-order", FIT, POSITIVE, "largest order considered")
-    order_n_boot: int = _option(100, "--order-boots", FIT, POSITIVE,
+    order_n_boot: int = _option(100, "--order-boots", FIT, BOOTS,
                                 "bootstrap draws for order selection")
     order_quantile: float = _option(0.95, "--order-quantile", FIT, FRACTION,
                                     "null quantile an order's stability must exceed")
@@ -137,7 +139,7 @@ class PipelineConfig:
                                       "skip order selection, keep this many patterns "
                                       "(at most each subject's numerical rank)")
     # group-level selection
-    cca_n_boot: int = _option(100, "--cca-boots", FIT, POSITIVE,
+    cca_n_boot: int = _option(100, "--cca-boots", FIT, BOOTS,
                               "bootstrap draws for the noise threshold")
     cca_alpha: float = _option(0.05, "--alpha", FIT, FRACTION,
                                "significance level of the noise threshold")
@@ -259,8 +261,6 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
             return order, curve, None
         # the reduction keeps no more patterns than the series' numerical rank
         reduction = svd_reduce(series, order)
-        if curve is not None:
-            reduction = dataclasses.replace(reduction, stability_curve=curve)
         return reduction.selected_order, curve, reduction
 
     with _blas.limit(blas_threads(len(subjects))), ThreadPoolExecutor(

@@ -46,6 +46,9 @@ from .data_model import DataMatrix, RowKind, SubjectSeries
 from .errors import BadDimension, NumericalFailure
 
 DEFAULT_N_BOOT = 100
+# Fewest draws either bootstrap (order selection, noise threshold) accepts;
+# the run config rejects fewer before any input is read.
+MIN_BOOT = 20
 DEFAULT_QUANTILE = 0.95
 # Bytes of one stacked operand in a chunk of bootstrap draws: enough draws
 # per numpy call to amortize the interpreter, few enough that the chunks'
@@ -73,7 +76,6 @@ class SubjectReduction:
     noise_residual: DataMatrix  # n_frames x n_voxels
     selected_order: int
     singular_values: np.ndarray  # full spectrum, nonincreasing
-    stability_curve: OrderSelectionCurve | None = None
 
     @property
     def n_voxels(self) -> int:
@@ -164,7 +166,8 @@ def _thin_svd(x: np.ndarray, order: int):
     s, rank, w = _whiten(x @ x.T, order, x.shape[1])
     w = w[:, : min(order, rank)]
     rows = w.T @ x
-    peaks = np.argmax(np.abs(rows), axis=1)
+    # row by row, so no voxel-wide |rows| temporary is made
+    peaks = [np.argmax(np.abs(row)) for row in rows]
     flip = rows[np.arange(rows.shape[0]), peaks] < 0
     rows[flip] *= -1.0
     w[:, flip] *= -1.0
@@ -225,8 +228,8 @@ def order_stability(
             f"max_order must be in [1, {min(n_frames, n_voxels) // 2}], "
             f"got {max_order}"
         )
-    if n_boot < 20:
-        raise BadDimension(f"need n_boot >= 20, got {n_boot}")
+    if n_boot < MIN_BOOT:
+        raise BadDimension(f"need n_boot >= {MIN_BOOT}, got {n_boot}")
     if not 0.0 < quantile < 1.0:
         raise ValueError(f"quantile must be in (0, 1), got {quantile}")
     orders = np.arange(1, max_order + 1)

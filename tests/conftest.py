@@ -136,3 +136,17 @@ def reference_max_correlations(reductions, n_boot, seed):
         top = np.linalg.eigvalsh(stack_gram)[-1]
         maxima[draw] = np.sqrt(max(top, 0.0))
     return maxima
+
+
+def reference_csv(path, header, rows):
+    """CSV rows written cell by cell, as the column writer's reference.
+
+    A Python int or bool prints as ``str``, anything else as a float to 17
+    significant digits; callers pass integer and boolean columns as Python
+    values (``range``, ``.tolist()``), since a numpy integer prints as a float.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(c) if isinstance(c, (int, bool))
+                              else format(float(c), ".17g") for c in row))
+    path.write_text("\n".join(lines) + "\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import canica
 from canica import (
@@ -23,10 +24,10 @@ from canica import (
     write_matrix,
 )
 from canica import pipeline
-from canica.cli import main
+from canica.cli import _write_csv, main
 from canica.errors import ConfigError
 from canica.pipeline import NO_SUBSPACE_MESSAGE, worker_count
-from conftest import truth_in_standardized_space
+from conftest import reference_csv, truth_in_standardized_space
 
 
 def run_cli(*argv) -> int:
@@ -105,6 +106,8 @@ class TestPipelineConfig:
             ("S", True),
             ("repeats", True),
             ("seed", 2**64),
+            ("order_n_boot", 19),
+            ("cca_n_boot", 5),
         ],
     )
     def test_validation(self, field, value):
@@ -313,6 +316,27 @@ class TestCli:
         overlap = np.abs(components.values @ scaled.T)
         assert overlap.max(axis=0).min() > 0.9
 
+    def test_manifest_digests_exactly_the_files_written(self, tmp_path):
+        sim, fit, split, thr = (tmp_path / n for n in ("sim", "fit", "split", "thr"))
+        commands = {
+            sim: self.simulate_args(sim, subjects=6),
+            fit: ["fit", "--input", str(sim), "--out", str(fit), "--max-order", "6",
+                  "--order-boots", "20", "--cca-boots", "20", "--seed", "9"],
+            split: ["split-half", "--input", str(sim), "--out", str(split),
+                    "--fixed-order", "4", "--cca-boots", "20", "--repeats", "2"],
+            thr: ["threshold", "--components", str(fit / "components.cnic"),
+                  "--out", str(thr)],
+        }
+        for out, argv in commands.items():
+            assert run_cli(*argv) == 0
+            written = tree_digest(out)
+            del written["manifest.json"]
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["outputs"] == written
+        names = {name for out in commands for name in tree_digest(out)}
+        assert {"order_curve_subject_000.csv", "scree.csv", "component_000.csv",
+                "repeat_001/summary.json", "truth_patterns.cnic"} <= names
+
     def test_fit_rerun_same_outdir_byte_identical(self, tmp_path):
         sim = tmp_path / "sim"
         fit = tmp_path / "fit"
@@ -357,6 +381,21 @@ class TestCli:
             "--out", str(tmp_path / "o"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags", [("--cca-boots", "5"), ("--fixed-order", "3", "--order-boots", "10")]
+    )
+    def test_too_few_boots_rejected_before_the_inputs_are_read(self, tmp_path, capsys,
+                                                              flags):
+        # the input does not exist: reading it first would exit 2
+        out = tmp_path / "fit"
+        code = run_cli("fit", "--input", str(tmp_path / "nope"), "--out", str(out),
+                       *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [fit/config]: ") and err.count("\n") == 1
+        assert "must be at least 20" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["nope.json", "."])
     def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, name):
@@ -531,3 +570,36 @@ class TestCli:
         assert run_cli("report", "--manifest", str(fit / "manifest.json")) == 0
         rendered = capsys.readouterr().out
         assert "k:" in rendered and "selected orders" in rendered
+
+
+class TestCsvWriter:
+    # the per-cell writer was given integer and boolean columns as Python values
+    INT_LIKE = [
+        [0, 1, -7, 2**53 + 1, 2**62 + 3],
+        np.array([0, 1, -7, 2**53 + 1, 2**62 + 3]),
+        np.array([3, 4, 5, 6, 7], dtype=np.uint8),
+        [True, False, True, True, False],
+        np.array([False, True, False, False, True]),
+    ]
+    FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, -1 / 3]
+    FLOAT_LIKE = [FLOATS, np.array(FLOATS), np.array([1.0, 2.0, -0.0, 1e-300, 7.0])]
+
+    def test_column_writer_matches_the_per_cell_writer(self, tmp_path):
+        for ints in self.INT_LIKE:
+            for floats in self.FLOAT_LIKE:
+                columns = [ints, floats, floats]
+                _write_csv(tmp_path / "new.csv", ["i", "x", "y"], columns)
+                cells = [np.asarray(ints).tolist(), floats, floats]
+                reference_csv(tmp_path / "old.csv", ["i", "x", "y"], zip(*cells))
+                assert ((tmp_path / "new.csv").read_bytes()
+                        == (tmp_path / "old.csv").read_bytes())
+
+    @settings(max_examples=200)
+    @given(values=arrays(np.float64, st.integers(0, 40),
+                         elements=st.floats(width=64)))
+    def test_any_float_column_writes_as_the_per_cell_writer(self, tmp_path, values):
+        _write_csv(tmp_path / "new.csv", ["index", "value"],
+                   [np.arange(values.size), values])
+        reference_csv(tmp_path / "old.csv", ["index", "value"],
+                      zip(range(values.size), values))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
