@@ -31,10 +31,9 @@ from .data_model import (
     write_matrix,
 )
 from .errors import BadDimension, CanicaError, ConfigError, DataError, exit_code
-from .pipeline import FitResult, PipelineConfig, field_types, fit_group
+from .pipeline import FitResult, PipelineConfig, field_types, fit_group, threshold_components
 from .reproducibility import overlap_histogram, split_half
 from .simulate import simulate_group
-from .thresholding import fit_empirical_null, threshold_map
 
 SUBJECT_GLOB = "subject_*.cnic"
 
@@ -180,10 +179,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_components(outputs: _Outputs, rows, fits, maps) -> list[dict]:
+def _write_components(outputs: _Outputs, rows, maps) -> list[dict]:
     """Write one voxel table per component map and return their summaries."""
     summaries = []
-    for row, fit, tmap in zip(rows, fits, maps):
+    for row, tmap in zip(rows, maps):
+        fit = tmap.fit
         outputs.csv(
             f"component_{tmap.component_index:03d}.csv",
             ["voxel", "value", "z", "selected"],
@@ -242,8 +242,7 @@ def _write_fit_outputs(outputs: _Outputs, result: FitResult) -> dict:
             "nonlinearity": result.ica.nonlinearity,
         }
         summary["components"] = _write_components(
-            outputs, result.ica.components.values, result.null_fits,
-            result.thresholded_maps,
+            outputs, result.ica.components.values, result.thresholded_maps
         )
     return summary
 
@@ -258,7 +257,7 @@ def cmd_fit(args) -> int:
         command="fit", config=config.to_dict(), inputs=input_digests, result=summary
     )
     if result.k == 0:
-        print(f"fit: {result.message or 'no reproducible subspace'} (k=0)")
+        print(f"fit: {result.message} (k=0)")
     else:
         print(f"fit: retained k={result.k} components, "
               f"threshold={result.threshold:.4f}")
@@ -347,14 +346,13 @@ def cmd_split_half(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    config = _run_config(args)
+    p = config.p_two_sided
     components_path = Path(args.components)
     matrix = read_matrix(components_path)
-    p = _config_from_args(args).p_two_sided
-    outputs = _Outputs(args.out)
-    fits = [fit_empirical_null(row, p_two_sided=p) for row in matrix.values]
-    maps = [threshold_map(row, fit, component_index=i)
-            for i, (row, fit) in enumerate(zip(matrix.values, fits))]
-    summaries = _write_components(outputs, matrix.values, fits, maps)
+    outputs = _Outputs(config.output_dir)
+    maps = threshold_components(matrix.values, p)
+    summaries = _write_components(outputs, matrix.values, maps)
     outputs.manifest(
         command="threshold",
         inputs={components_path.name: _sha256(components_path)},
@@ -451,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     thr = subs.add_parser("threshold", help="re-threshold a component matrix")
     thr.add_argument("--components", required=True, help="CNIC1 component file")
     _add_config_flags(thr, "threshold")
-    thr.add_argument("--out", required=True)
     thr.set_defaults(func=cmd_threshold)
 
     rep = subs.add_parser("report", help="render a manifest summary")

@@ -84,8 +84,6 @@ class SubjectSeries:
 
     subject_id: str
     data: DataMatrix
-    # Voxels with no variation, flagged by standardize(); None before.
-    zero_variance: np.ndarray | None = None
 
     def __post_init__(self):
         if self.data.row_kind != RowKind.FRAMES:
@@ -95,12 +93,6 @@ class SubjectSeries:
                 f"subject {self.subject_id!r} needs at least 2 frames and "
                 f"2 voxels, got {self.data.rows}x{self.data.cols}"
             )
-        if self.zero_variance is not None:
-            mask = np.asarray(self.zero_variance, dtype=bool)
-            if mask.shape != (self.data.cols,):
-                raise BadDimension("zero-variance mask must have one entry per voxel")
-            mask.setflags(write=False)
-            object.__setattr__(self, "zero_variance", mask)
 
     @property
     def n_frames(self) -> int:
@@ -141,8 +133,8 @@ class GroupDataset:
 def standardize(series: SubjectSeries) -> SubjectSeries:
     """Center every voxel and scale it to unit sample variance.
 
-    Columns with no variation are left at zero and flagged in the returned
-    series so voxel indexing stays stable across subjects. Sample variance
+    Columns with no variation are left at zero so voxel indexing stays
+    stable across subjects. Sample variance
     uses the n-1 denominator. Idempotent to within rounding.
     """
     x = series.data.values
@@ -154,11 +146,7 @@ def standardize(series: SubjectSeries) -> SubjectSeries:
     std[flat] = 1.0
     out = centered / std
     out[:, flat] = 0.0
-    return SubjectSeries(
-        subject_id=series.subject_id,
-        data=DataMatrix(out, RowKind.FRAMES),
-        zero_variance=flat,
-    )
+    return SubjectSeries(series.subject_id, DataMatrix(out, RowKind.FRAMES))
 
 
 def write_matrix(matrix: DataMatrix, path) -> None:

@@ -45,7 +45,6 @@ class GroupDecomposition:
     loading_basis: np.ndarray  # (sum n_s) x r, orthonormal columns
     correlations: np.ndarray  # r singular values, nonincreasing; r = stack rank
     pattern_basis: np.ndarray  # r x n_voxels, orthonormal rows
-    subject_ids: tuple[str, ...]
     subject_slices: tuple[tuple[int, int], ...]  # row range per subject
 
     @property
@@ -55,15 +54,12 @@ class GroupDecomposition:
 
 @dataclass(frozen=True)
 class GroupSubspace:
-    """Retained group patterns with their loadings and selection context."""
+    """Retained group patterns with their loadings."""
 
     group_patterns: DataMatrix  # k x n_voxels, orthonormal rows
     canonical_correlations: np.ndarray  # retained values, nonincreasing
-    loadings: np.ndarray  # (sum n_s) x k, partitioned by subject_slices
-    threshold: float
+    loadings: np.ndarray  # (sum n_s) x k, rows in the decomposition's slices
     residual_ss: float  # energy of the discarded directions
-    subject_ids: tuple[str, ...]
-    subject_slices: tuple[tuple[int, int], ...]
 
     @property
     def k(self) -> int:
@@ -96,7 +92,6 @@ def group_cca(reductions: list[SubjectReduction]) -> GroupDecomposition:
         loading_basis=upsilon,
         correlations=z,
         pattern_basis=theta_t,
-        subject_ids=tuple(r.subject_id for r in usable),
         subject_slices=tuple(slices),
     )
 
@@ -202,8 +197,5 @@ def select_group_subspace(
         group_patterns=DataMatrix(patterns.copy(), RowKind.PATTERNS),
         canonical_correlations=z[:k].copy(),
         loadings=loadings,
-        threshold=float(threshold),
         residual_ss=residual_ss,
-        subject_ids=decomposition.subject_ids,
-        subject_slices=decomposition.subject_slices,
     )

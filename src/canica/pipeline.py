@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _blas, streams
-from ._blas import worker_count
+from . import _blas, group_level, source_separation, streams, subject_level, thresholding
 from .data_model import GroupDataset, standardize
 from .errors import BadDimension, ConfigError
 from .group_level import (
@@ -43,15 +42,14 @@ from .group_level import (
     noise_threshold,
     select_group_subspace,
 )
-from .source_separation import IcaDecomposition, fastica
+from .source_separation import CONTRASTS, IcaDecomposition, fastica
 from .subject_level import (
     MIN_BOOT,
     OrderSelectionCurve,
-    SubjectReduction,
     order_stability,
     svd_reduce,
 )
-from .thresholding import NullFit, ThresholdedMap, fit_empirical_null, threshold_map
+from .thresholding import ThresholdedMap, fit_empirical_null, threshold_map
 
 NO_SUBSPACE_MESSAGE = "no reproducible subspace"
 
@@ -59,6 +57,7 @@ NO_SUBSPACE_MESSAGE = "no reproducible subspace"
 SIMULATE = ("simulate",)
 FIT = ("fit", "split-half")
 RUN = SIMULATE + FIT
+THRESHOLD = ("threshold",)
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ UNIT_INTERVAL = Rule("must lie in (0, 1]", lambda v: 0 < v <= 1)
 # Philox keys are 64-bit words: a larger seed would alias a smaller one.
 SEED = Rule("must lie in [0, 2**64)", lambda v: 0 <= v < 2**64)
 BOOTS = Rule(f"must be at least {MIN_BOOT}", lambda v: v >= MIN_BOOT)
-CONTRASTS = ("logcosh", "cube")
 CONTRAST = Rule(f"must be one of {list(CONTRASTS)}", lambda v: v in CONTRASTS, CONTRASTS)
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
@@ -116,7 +114,8 @@ class PipelineConfig:
     k_true, sparsity, sigma_E, sigma_R, seed) so config files read the
     same as the CLI documentation. Each field's metadata holds its CLI
     flag, the subcommands that expose it, its help text and its range
-    rule; validation, JSON loading and the CLI all derive from them.
+    rule; validation, JSON loading and the CLI all derive from them. The
+    estimation defaults are the stage modules' own constants.
     """
 
     # simulation
@@ -131,33 +130,39 @@ class PipelineConfig:
     seed: int = _option(0, "--seed", RUN, SEED, "random seed in [0, 2**64)")
     # subject-level order selection
     max_order: int = _option(20, "--max-order", FIT, POSITIVE, "largest order considered")
-    order_n_boot: int = _option(100, "--order-boots", FIT, BOOTS,
+    order_n_boot: int = _option(subject_level.DEFAULT_N_BOOT, "--order-boots", FIT, BOOTS,
                                 "bootstrap draws for order selection")
-    order_quantile: float = _option(0.95, "--order-quantile", FIT, FRACTION,
+    order_quantile: float = _option(subject_level.DEFAULT_QUANTILE, "--order-quantile",
+                                    FIT, FRACTION,
                                     "null quantile an order's stability must exceed")
     fixed_order: int | None = _option(None, "--fixed-order", FIT, POSITIVE,
                                       "skip order selection, keep this many patterns "
                                       "(at most each subject's numerical rank)")
     # group-level selection
-    cca_n_boot: int = _option(100, "--cca-boots", FIT, BOOTS,
+    cca_n_boot: int = _option(group_level.DEFAULT_N_BOOT, "--cca-boots", FIT, BOOTS,
                               "bootstrap draws for the noise threshold")
-    cca_alpha: float = _option(0.05, "--alpha", FIT, FRACTION,
+    cca_alpha: float = _option(group_level.DEFAULT_ALPHA, "--alpha", FIT, FRACTION,
                                "significance level of the noise threshold")
     # source separation
     ica_nonlinearity: str = _option("logcosh", "--nonlinearity", FIT, CONTRAST,
                                     "FastICA contrast function")
-    ica_tol: float = _option(1e-6, "--tol", FIT, POSITIVE, "FastICA tolerance")
-    ica_max_iter: int = _option(200, "--max-iter", FIT, POSITIVE, "FastICA iteration cap")
-    ica_restarts: int = _option(5, "--restarts", FIT, POSITIVE, "FastICA restarts")
+    ica_tol: float = _option(source_separation.DEFAULT_TOL, "--tol", FIT, POSITIVE,
+                             "FastICA tolerance")
+    ica_max_iter: int = _option(source_separation.DEFAULT_MAX_ITER, "--max-iter", FIT,
+                                POSITIVE, "FastICA iteration cap")
+    ica_restarts: int = _option(source_separation.DEFAULT_RESTARTS, "--restarts", FIT,
+                                POSITIVE, "FastICA restarts")
     # map thresholding
-    p_two_sided: float = _option(1e-3, "--p-value", FIT + ("threshold",), FRACTION,
+    p_two_sided: float = _option(thresholding.DEFAULT_P_TWO_SIDED, "--p-value",
+                                 FIT + THRESHOLD, FRACTION,
                                  "two-sided voxel p-value for the maps")
     # split-half
     repeats: int = _option(1, "--repeats", ("split-half",), POSITIVE, "split-half repeats")
     # paths
     input_dir: str | None = _option(None, "--input", FIT, None,
                                     "directory of subject_*.cnic files")
-    output_dir: str | None = _option(None, "--out", RUN, None, "output directory")
+    output_dir: str | None = _option(None, "--out", RUN + THRESHOLD, None,
+                                     "output directory")
 
     def validate(self) -> "PipelineConfig":
         for f in dataclasses.fields(self):
@@ -211,12 +216,10 @@ class FitResult:
     selected_orders: tuple[int, ...]
     stability_curves: tuple[OrderSelectionCurve | None, ...]
     n_voxels: int
-    reductions: tuple[SubjectReduction, ...] = ()
     correlations_full: np.ndarray | None = None
     threshold: float | None = None
     subspace: GroupSubspace | None = None
     ica: IcaDecomposition | None = None
-    null_fits: tuple[NullFit, ...] = ()
     thresholded_maps: tuple[ThresholdedMap, ...] = ()
     message: str = ""
     config: PipelineConfig = field(default_factory=PipelineConfig)
@@ -264,7 +267,7 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
         return reduction.selected_order, curve, reduction
 
     with _blas.limit(blas_threads(len(subjects))), ThreadPoolExecutor(
-        max_workers=worker_count(len(subjects))
+        max_workers=_blas.worker_count(len(subjects))
     ) as pool:
         staged = list(pool.map(subject_stage, range(len(subjects))))
     subject_ids = tuple(s.subject_id for s in subjects)
@@ -280,7 +283,6 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
         selected_orders=orders,
         stability_curves=curves,
         n_voxels=n_voxels,
-        reductions=reductions,
         config=config,
     )
     if len(reductions) < 2:
@@ -314,12 +316,15 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
         seed=streams.derive_seed(config.seed, streams.PIPELINE_ICA_SEED),
         restarts=config.ica_restarts,
     )
-    fits, maps = [], []
-    for i, row in enumerate(ica.components.values):
-        fit = fit_empirical_null(row, p_two_sided=config.p_two_sided)
-        fits.append(fit)
-        maps.append(threshold_map(row, fit, component_index=i))
     base.ica = ica
-    base.null_fits = tuple(fits)
-    base.thresholded_maps = tuple(maps)
+    base.thresholded_maps = threshold_components(ica.components.values, config.p_two_sided)
     return base
+
+
+def threshold_components(rows, p_two_sided: float) -> tuple[ThresholdedMap, ...]:
+    """Fit each component row's empirical null and select its voxels."""
+    return tuple(
+        threshold_map(row, fit_empirical_null(row, p_two_sided=p_two_sided),
+                      component_index=i)
+        for i, row in enumerate(rows)
+    )

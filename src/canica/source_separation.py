@@ -20,6 +20,7 @@ from .errors import BadDimension, NotWhitened, SingularMatrix
 GAUSSIAN_LOGCOSH = 0.3745672074914380
 GAUSSIAN_QUARTIC = 0.75
 
+CONTRASTS = ("logcosh", "cube")
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 200
 DEFAULT_RESTARTS = 5
@@ -33,7 +34,6 @@ class IcaDecomposition:
     n_iterations: int
     converged: bool
     nonlinearity: str
-    seed: int
 
     @property
     def k(self) -> int:
@@ -144,7 +144,6 @@ def fastica(
         n_iterations=n_iter,
         converged=converged,
         nonlinearity=nonlinearity,
-        seed=seed,
     )
 
 

@@ -74,8 +74,11 @@ class SubjectReduction:
     subject_id: str
     whitened_patterns: DataMatrix  # n x n_voxels, orthonormal rows
     noise_residual: DataMatrix  # n_frames x n_voxels
-    selected_order: int
     singular_values: np.ndarray  # full spectrum, nonincreasing
+
+    @property
+    def selected_order(self) -> int:
+        return self.whitened_patterns.rows
 
     @property
     def n_voxels(self) -> int:
@@ -187,7 +190,6 @@ def svd_reduce(series: SubjectSeries, order: int) -> SubjectReduction:
         subject_id=series.subject_id,
         whitened_patterns=DataMatrix(patterns, RowKind.PATTERNS),
         noise_residual=DataMatrix(residual, RowKind.FRAMES),
-        selected_order=len(patterns),
         singular_values=s,
     )
 

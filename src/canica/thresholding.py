@@ -9,14 +9,13 @@ strict two-sided z test at an uncorrected p-value.
 """
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BadDimension, DegenerateInput
 
 IQR_TO_SIGMA = 1.349
-CENTRAL_FRACTION = 0.5
 DEFAULT_P_TWO_SIDED = 1e-3
 MIN_VOXELS = 100
 
@@ -27,7 +26,6 @@ class NullFit:
 
     mu: float
     sigma: float
-    central_fraction: float
     p_two_sided: float
     z_threshold: float
 
@@ -66,7 +64,6 @@ def fit_empirical_null(
     return NullFit(
         mu=mu,
         sigma=iqr / IQR_TO_SIGMA,
-        central_fraction=CENTRAL_FRACTION,
         p_two_sided=p_two_sided,
         z_threshold=two_sided_z(p_two_sided),
     )
@@ -85,12 +82,8 @@ def threshold_map(
     """
     values = np.asarray(map_row, dtype=float).ravel()
     if p_two_sided is not None and p_two_sided != fit.p_two_sided:
-        fit = NullFit(
-            mu=fit.mu,
-            sigma=fit.sigma,
-            central_fraction=fit.central_fraction,
-            p_two_sided=p_two_sided,
-            z_threshold=two_sided_z(p_two_sided),
+        fit = replace(
+            fit, p_two_sided=p_two_sided, z_threshold=two_sided_z(p_two_sided)
         )
     selected = np.abs(values - fit.mu) / fit.sigma > fit.z_threshold
     return ThresholdedMap(

@@ -34,7 +34,6 @@ def reduction_from(patterns, residual=None, subject_id="s"):
         subject_id=subject_id,
         whitened_patterns=DataMatrix(patterns, RowKind.PATTERNS),
         noise_residual=DataMatrix(residual, RowKind.FRAMES),
-        selected_order=patterns.shape[0],
         singular_values=np.ones(patterns.shape[0]),
     )
 

@@ -24,9 +24,10 @@ from canica import (
     write_matrix,
 )
 from canica import pipeline
+from canica._blas import worker_count
 from canica.cli import _write_csv, main
 from canica.errors import ConfigError
-from canica.pipeline import NO_SUBSPACE_MESSAGE, worker_count
+from canica.pipeline import NO_SUBSPACE_MESSAGE
 from conftest import reference_csv, truth_in_standardized_space
 
 
@@ -188,8 +189,6 @@ class TestFitGroup:
         config = PipelineConfig(fixed_order=30, cca_n_boot=20, seed=10)
         result = fit_group(data.dataset, config)
         assert result.selected_orders == (23, 23, 23, 23)
-        assert [r.selected_order for r in result.reductions] == [23] * 4
-        assert [r.whitened_patterns.rows for r in result.reductions] == [23] * 4
 
     def test_standardized_series_are_released_before_the_noise_threshold(
         self, monkeypatch
@@ -485,6 +484,33 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["components"][0]["n_selected"] >= 5
         assert (out / "component_000.csv").exists()
+
+    def test_threshold_of_fit_components_reproduces_the_fit_maps(self, tmp_path):
+        sim, fit, thr = (tmp_path / n for n in ("sim", "fit", "thr"))
+        assert run_cli(*self.simulate_args(sim)) == 0
+        assert run_cli("fit", "--input", str(sim), "--out", str(fit), "--fixed-order",
+                       "4", "--cca-boots", "25", "--seed", "9", "--p-value", "0.01") == 0
+        assert run_cli("threshold", "--components", str(fit / "components.cnic"),
+                       "--out", str(thr), "--p-value", "0.01") == 0
+        fit_manifest = json.loads((fit / "manifest.json").read_text())
+        thr_manifest = json.loads((thr / "manifest.json").read_text())
+        assert fit_manifest["result"]["k"] >= 1
+        assert thr_manifest["components"] == fit_manifest["result"]["components"]
+        tables = sorted(p.name for p in fit.glob("component_*.csv"))
+        assert len(tables) == fit_manifest["result"]["k"]
+        assert sorted(p.name for p in thr.glob("component_*.csv")) == tables
+        for name in tables:
+            assert (thr / name).read_bytes() == (fit / name).read_bytes()
+
+    def test_threshold_checks_the_p_value_before_reading_components(self, tmp_path,
+                                                                    capsys):
+        out = tmp_path / "thr"
+        code = run_cli("threshold", "--components", str(tmp_path / "nope.cnic"),
+                       "--out", str(out), "--p-value", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [threshold/config]: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_split_half_repeats_and_aggregate(self, tmp_path):
         sim = tmp_path / "sim"

@@ -66,8 +66,8 @@ class TestThresholdMap:
         assert 25 <= result.n_selected <= 57
 
     def test_zero_map_with_external_fit(self):
-        fit = NullFit(mu=0.0, sigma=1.0, central_fraction=0.5,
-                      p_two_sided=1e-3, z_threshold=two_sided_z(1e-3))
+        fit = NullFit(mu=0.0, sigma=1.0, p_two_sided=1e-3,
+                      z_threshold=two_sided_z(1e-3))
         result = threshold_map(np.zeros(500), fit)
         assert result.n_selected == 0
 
@@ -97,8 +97,7 @@ class TestThresholdMap:
         assert (loose.selected | ~tight.selected).all()
 
     def test_boundary_equality_not_selected(self):
-        fit = NullFit(mu=0.0, sigma=1.0, central_fraction=0.5,
-                      p_two_sided=1e-3, z_threshold=2.0)
+        fit = NullFit(mu=0.0, sigma=1.0, p_two_sided=1e-3, z_threshold=2.0)
         values = np.array([2.0, -2.0, 2.0000001, 1.9999999, 0.0])
         result = threshold_map(values, fit)
         assert result.selected.tolist() == [False, False, True, False, False]
