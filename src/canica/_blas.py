@@ -1,25 +1,19 @@
-"""Thread counts: the worker pools' cap, and scoped limits for OpenBLAS.
+"""Thread counts: the worker pools' cap, and a one-thread hold for OpenBLAS.
 
 ``worker_count`` sizes the thread pools that fan out independent work (the
-subjects of a fit, the chunks of noise-bootstrap draws), capped by
-``CANICA_THREADS``.
+subjects of a fit, the residual cross-Grams and the chunks of noise-bootstrap
+draws), capped by ``CANICA_THREADS``.
 
-The bootstraps run many small eigenproblems, batched into stacked LAPACK
-calls that are still far too small for BLAS threads to help: when several
-of them run at once, on the per-subject pool or on the noise bootstrap's
-chunk pool, extra BLAS threads only spin and compete for the cores.
-``limit(n)`` holds the OpenBLAS library shipped inside the numpy wheel to
-at most ``n`` threads for the duration of a block and restores the previous
-count on exit. Builds without a bundled OpenBLAS (MKL, Accelerate, a system
-BLAS) are left alone.
+``limit()`` holds the OpenBLAS library shipped inside the numpy wheel to one
+thread for the duration of a block and restores the previous count on exit.
+A fit runs inside it, so every product is computed on one BLAS thread and
+its bits do not depend on the machine's cores or on ``OPENBLAS_NUM_THREADS``;
+the pools supply the parallelism. Builds without a bundled OpenBLAS (MKL,
+Accelerate, a system BLAS) are left alone.
 
 The thread count is a property of the whole process, not of a thread.
 Scopes entered from several threads share it: the first scope in saves the
-count, while scopes are open it is the smallest of their limits (never more
-than the saved count), and the last scope out restores it. Code outside any
-scope is held too while another thread is inside one: while one
-``fit_group`` call is in its pool or its noise draws, the unscoped
-voxel-wide products of a concurrent call run on the held count.
+count and the last scope out restores it.
 """
 
 import ctypes
@@ -44,19 +38,23 @@ _SYMBOL_FORMS = (
 )
 
 
-def worker_count(n_tasks: int) -> int:
-    """Pool size for fanning out n_tasks, capped by CANICA_THREADS."""
+def thread_cap() -> int:
+    """The pools' width cap: CANICA_THREADS, or the machine's cores when unset."""
     env = os.environ.get("CANICA_THREADS")
     if env is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"CANICA_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ConfigError(f"CANICA_THREADS must be >= 1, got {cap}")
-    return max(1, min(cap, n_tasks))
+        return os.cpu_count() or 1
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ConfigError(f"CANICA_THREADS must be an integer, got {env!r}")
+    if cap < 1:
+        raise ConfigError(f"CANICA_THREADS must be >= 1, got {cap}")
+    return cap
+
+
+def worker_count(n_tasks: int) -> int:
+    """Pool size for fanning out n_tasks, capped by CANICA_THREADS."""
+    return max(1, min(thread_cap(), n_tasks))
 
 
 @dataclass(frozen=True)
@@ -88,26 +86,27 @@ def _openblas() -> _Threads | None:
 
 
 _lock = threading.Lock()
-_limits: list[int] = []  # the limits of the scopes now open
+_open = 0  # scopes now open, over all threads
 _saved = 0
 
 
 @contextmanager
-def limit(n_threads: int):
-    """Run the block with numpy's OpenBLAS on at most n_threads, then restore it."""
-    global _saved
+def limit():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count."""
+    global _open, _saved
     lib = _openblas()
     if lib is None:
         yield
         return
     with _lock:
-        if not _limits:
+        if not _open:
             _saved = lib.get()
-        _limits.append(n_threads)
-        lib.set(min([_saved, *_limits]))
+            lib.set(1)
+        _open += 1
     try:
         yield
     finally:
         with _lock:
-            _limits.remove(n_threads)
-            lib.set(min([_saved, *_limits]))
+            _open -= 1
+            if not _open:
+                lib.set(_saved)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from .data_model import (
     MAX_ELEMENTS,
     DataMatrix,
@@ -124,6 +125,7 @@ def _run_config(args) -> PipelineConfig:
     config = _config_from_args(args)
     if not config.output_dir:
         raise ConfigError("an output directory is required (--out)")
+    _blas.thread_cap()  # a malformed CANICA_THREADS fails before any input is read
     return config
 
 

@@ -112,9 +112,10 @@ def bootstrap_max_correlations(
     The draws are batched in chunks: per chunk, one stacked whitening per
     subject, one stacked block product per subject pair and one stacked
     eigenvalue call. Frame counts may differ between subjects, so the stack
-    axis is the draws. The chunks run on up to ``_blas.worker_count``
-    threads; each fills its own slice of the result, so the result does not
-    depend on the number of threads.
+    axis is the draws. The cross-Grams, then the chunks, run on up to
+    ``_blas.worker_count`` threads with OpenBLAS held to one thread; each
+    chunk fills its own slice of the result, so the result depends on neither
+    count.
     """
     if len(reductions) < 2:
         raise EmptyGroup("noise bootstrap needs at least 2 subjects")
@@ -128,10 +129,7 @@ def bootstrap_max_correlations(
     n_subjects = len(reductions)
     frames = [e.shape[0] for e in residuals]
     n_voxels = residuals[0].shape[1]
-    grams = {}
-    for a in range(n_subjects):
-        for b in range(a, n_subjects):
-            grams[a, b] = residuals[a] @ residuals[b].T
+    pairs = [(a, b) for a in range(n_subjects) for b in range(a, n_subjects)]
     offsets = np.concatenate([[0], np.cumsum(orders)])
     total = int(offsets[-1])
     idx = resample_frames(seed, streams.CCA_NOISE_BOOT, n_boot, frames)
@@ -157,9 +155,13 @@ def bootstrap_max_correlations(
         maxima[draws] = np.sqrt(np.maximum(top, 0.0))
 
     chunks = draw_chunks(n_boot, 8 * max(max(frames) ** 2, total**2))
-    # The voxel-wide cross-Grams above keep the caller's BLAS threads; the
-    # chunks work on frame-sized matrices, which extra BLAS threads only slow.
-    with _blas.limit(1), ThreadPoolExecutor(_blas.worker_count(len(chunks))) as pool:
+    # Held here as well as in fit_group, since the threshold is also computed
+    # on its own: pool workers on extra BLAS threads only compete for cores.
+    with _blas.limit(), ThreadPoolExecutor(
+        _blas.worker_count(max(len(pairs), len(chunks)))
+    ) as pool:
+        products = pool.map(lambda p: residuals[p[0]] @ residuals[p[1]].T, pairs)
+        grams = dict(zip(pairs, products))
         list(pool.map(run_chunk, chunks))
     return maxima
 

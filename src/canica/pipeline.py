@@ -2,28 +2,19 @@
 
 This module owns the run configuration and the ``fit_group`` orchestration
 used both by the command line and by the split-half harness. Per-subject
-work fans out over a thread pool, and so do the chunks of the noise
-threshold's batched bootstrap draws; results are keyed by subject index or
-draw, and all randomness is derived from the configured seed, so output is
-identical regardless of worker count. ``CANICA_THREADS`` caps both pools.
-The standardized series are released once the subject pool ends, so the
-noise bootstrap's chunks run in the memory they occupied.
-
-While the pool runs, numpy's bundled OpenBLAS is held to the machine's
-cores divided among the subjects (``blas_threads``). A subject's work is
-mostly small frame-Gram eigenproblems, which BLAS threads do not speed up:
-with at least as many subjects as cores each worker runs on one BLAS
-thread and keeps one core busy estimating instead of sharing it with idle
-BLAS threads, and with fewer subjects the spare cores go to each subject's
-voxel-wide products. The share depends on the subject count, never on the
-pool's width, because a large product's last bits depend on its BLAS
-thread count: sharing by workers would let ``CANICA_THREADS`` change them.
+work fans out over a thread pool, and so do the noise threshold's residual
+cross-Grams and chunks of batched bootstrap draws; results are keyed by
+subject index or draw, and all randomness is derived from the configured
+seed, so output is identical regardless of worker count. ``CANICA_THREADS``
+caps the pools. The whole fit runs with numpy's bundled OpenBLAS held to one
+thread (``_blas.limit``), so no product's last bits depend on the BLAS thread
+count. The standardized series are released once the subject pool ends, so
+the noise bootstrap's chunks run in the memory they occupied.
 """
 
 import dataclasses
 import json
 import math
-import os
 import sys
 import typing
 from collections.abc import Callable
@@ -222,20 +213,15 @@ class FitResult:
     ica: IcaDecomposition | None = None
     thresholded_maps: tuple[ThresholdedMap, ...] = ()
     message: str = ""
-    config: PipelineConfig = field(default_factory=PipelineConfig)
 
     @property
     def k(self) -> int:
         return 0 if self.subspace is None else self.subspace.k
 
 
-def blas_threads(n_subjects: int) -> int:
-    """BLAS threads per subject while the pool runs: the cores shared out."""
-    return max(1, (os.cpu_count() or 1) // n_subjects)
-
-
+@_blas.limit()
 def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
-    """Run the full estimation pipeline on one group of subjects."""
+    """Run the full estimation pipeline on one group of subjects, on one BLAS thread."""
     config.validate()
     subjects = [standardize(s) for s in dataset.subjects]
     n_voxels = dataset.n_voxels
@@ -266,9 +252,7 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
         reduction = svd_reduce(series, order)
         return reduction.selected_order, curve, reduction
 
-    with _blas.limit(blas_threads(len(subjects))), ThreadPoolExecutor(
-        max_workers=_blas.worker_count(len(subjects))
-    ) as pool:
+    with ThreadPoolExecutor(max_workers=_blas.worker_count(len(subjects))) as pool:
         staged = list(pool.map(subject_stage, range(len(subjects))))
     subject_ids = tuple(s.subject_id for s in subjects)
     # Only the ids are used from here on: free the standardized copies before
@@ -283,7 +267,6 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
         selected_orders=orders,
         stability_curves=curves,
         n_voxels=n_voxels,
-        config=config,
     )
     if len(reductions) < 2:
         base.message = NO_SUBSPACE_MESSAGE

@@ -2,8 +2,8 @@ import threading
 
 import pytest
 
-from canica import _blas
-from canica.pipeline import PipelineConfig, blas_threads, fit_group
+from canica import _blas, pipeline
+from canica.pipeline import PipelineConfig, fit_group
 from canica.simulate import simulate_group
 
 OPENBLAS = _blas._openblas()
@@ -23,11 +23,19 @@ def three_threads():
         OPENBLAS.set(before)
 
 
+def fit_bytes(result) -> list:
+    """The threshold and the group-level arrays of a fit, as bytes."""
+    subspace, ica = result.subspace, result.ica
+    arrays = [result.correlations_full, subspace.group_patterns.values,
+              subspace.loadings, ica.components.values, ica.mixing]
+    return [repr(result.threshold)] + [a.tobytes() for a in arrays]
+
+
 @needs_openblas
 def test_one_thread_inside_nested_scopes_and_restored_after(three_threads):
-    with _blas.limit(1):
+    with _blas.limit():
         assert OPENBLAS.get() == 1
-        with _blas.limit(1):
+        with _blas.limit():
             assert OPENBLAS.get() == 1
         assert OPENBLAS.get() == 1
     assert OPENBLAS.get() == 3
@@ -36,24 +44,9 @@ def test_one_thread_inside_nested_scopes_and_restored_after(three_threads):
 @needs_openblas
 def test_restored_after_exception(three_threads):
     with pytest.raises(RuntimeError):
-        with _blas.limit(1):
+        with _blas.limit():
             assert OPENBLAS.get() == 1
             raise RuntimeError("inside the scope")
-    assert OPENBLAS.get() == 3
-
-
-@needs_openblas
-def test_open_scopes_hold_the_smallest_limit_never_above_the_saved_count(
-    three_threads,
-):
-    with _blas.limit(8):
-        assert OPENBLAS.get() == 3
-        with _blas.limit(2):
-            assert OPENBLAS.get() == 2
-            with _blas.limit(1):
-                assert OPENBLAS.get() == 1
-            assert OPENBLAS.get() == 2
-        assert OPENBLAS.get() == 3
     assert OPENBLAS.get() == 3
 
 
@@ -63,7 +56,7 @@ def test_last_of_overlapping_scopes_restores(three_threads):
     counts = []
 
     def first():
-        with _blas.limit(1):
+        with _blas.limit():
             first_in.set()
             second_in.wait(timeout=10)
         first_out.set()
@@ -71,14 +64,14 @@ def test_last_of_overlapping_scopes_restores(three_threads):
     worker = threading.Thread(target=first)
     worker.start()
     assert first_in.wait(timeout=10)
-    with _blas.limit(2):
+    with _blas.limit():
         counts.append(OPENBLAS.get())  # the first scope is still open
         second_in.set()
         assert first_out.wait(timeout=10)
         counts.append(OPENBLAS.get())  # the first scope has ended
     worker.join(timeout=10)
     assert not worker.is_alive()
-    assert counts == [1, 2]
+    assert counts == [1, 1]
     assert OPENBLAS.get() == 3
 
 
@@ -86,35 +79,75 @@ def test_no_openblas_is_a_no_op(monkeypatch):
     count = OPENBLAS.get if OPENBLAS else (lambda: None)
     before = count()
     monkeypatch.setattr(_blas, "_openblas", lambda: None)
-    with _blas.limit(1):
+    with _blas.limit():
         assert count() == before
     assert count() == before
 
 
-@pytest.mark.parametrize(
-    "cores, subjects, threads",
-    [(16, 12, 1), (16, 6, 2), (16, 40, 1), (2, 12, 1), (2, 1, 2), (1, 3, 1), (None, 3, 1)],
-)
-def test_pool_shares_the_cores_among_the_subjects(monkeypatch, cores, subjects,
-                                                  threads):
-    monkeypatch.setattr("os.cpu_count", lambda: cores)
-    assert blas_threads(subjects) == threads
+@needs_openblas
+def test_fit_runs_every_stage_on_one_thread_whatever_the_thread_cap(
+    monkeypatch, three_threads
+):
+    requested, stage_counts = [], []
+    spy = _blas._Threads(OPENBLAS.get, lambda n: (requested.append(n), OPENBLAS.set(n)))
+    monkeypatch.setattr(_blas, "_openblas", lambda: spy)
+    for name in ("standardize", "order_stability", "svd_reduce", "group_cca",
+                 "noise_threshold", "fastica", "threshold_map"):
+        real = getattr(pipeline, name)
 
+        def stage(*args, real=real, **kwargs):
+            stage_counts.append(OPENBLAS.get())
+            return real(*args, **kwargs)
 
-def test_fit_holds_its_pool_to_the_share_whatever_the_thread_cap(monkeypatch):
-    requested = []
-    real = _blas.limit
-
-    def spy(n_threads):
-        requested.append(n_threads)
-        return real(n_threads)
-
-    monkeypatch.setattr(_blas, "limit", spy)
-    monkeypatch.setattr("os.cpu_count", lambda: 16)
+        monkeypatch.setattr(pipeline, name, stage)
     data = simulate_group(4, 30, 100, 1, 0.3, 0.3, 0.05, seed=3)
-    config = PipelineConfig(fixed_order=2, cca_n_boot=20, seed=3)
+    config = PipelineConfig(max_order=3, order_n_boot=20, cca_n_boot=20, seed=3)
     for cap in ("1", "3"):
         monkeypatch.setenv("CANICA_THREADS", cap)
-        fit_group(data.dataset, config)
-    # 16 cores shared by 4 subjects in the pool, then one for the noise draws
-    assert requested == [4, 1, 4, 1]
+        assert fit_group(data.dataset, config).k >= 1
+    # each fit holds one thread, then restores the count it found
+    assert requested == [1, 3, 1, 3]
+    assert len(stage_counts) > 7 and set(stage_counts) == {1}
+
+
+@needs_openblas
+def test_fit_bytes_do_not_depend_on_the_openblas_count():
+    # at this shape the voxel-wide products' last bits depend on the count
+    data = simulate_group(6, 30, 2000, 3, 0.05, 0.5, 0.1, seed=0)
+    config = PipelineConfig(fixed_order=5, cca_n_boot=20, seed=0)
+    before = OPENBLAS.get()
+    fits = []
+    try:
+        for count in (1, 2):
+            OPENBLAS.set(count)
+            fits.append(fit_group(data.dataset, config))
+    finally:
+        OPENBLAS.set(before)
+    assert fits[0].k >= 1
+    assert fit_bytes(fits[0]) == fit_bytes(fits[1])
+
+
+def test_concurrent_fits_equal_serial_fits(monkeypatch):
+    monkeypatch.delenv("CANICA_THREADS", raising=False)
+    # unequal noise bootstraps keep the two fits in different stages
+    runs = [
+        (simulate_group(6, 30, 2000, 3, 0.05, 0.5, 0.1, seed=s).dataset,
+         PipelineConfig(fixed_order=5, cca_n_boot=n_boot, seed=s))
+        for s, n_boot in ((0, 300), (1, 20))
+    ]
+    serial = [fit_bytes(fit_group(*run)) for run in runs]
+    for _ in range(3):
+        start = threading.Barrier(len(runs), timeout=10)
+        concurrent = [None] * len(runs)
+
+        def fit(i):
+            start.wait()
+            concurrent[i] = fit_bytes(fit_group(*runs[i]))
+
+        workers = [threading.Thread(target=fit, args=(i,)) for i in range(len(runs))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert concurrent == serial

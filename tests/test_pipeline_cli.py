@@ -396,6 +396,20 @@ class TestCli:
         assert "must be at least 20" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["many", "0"])
+    def test_bad_thread_env_rejected_before_the_inputs_are_read(self, tmp_path, capsys,
+                                                               monkeypatch, threads):
+        data = tmp_path / "data"
+        assert run_cli(*self.simulate_args(data)) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("CANICA_THREADS", threads)
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--input", str(data), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [fit/config]: CANICA_THREADS must be ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["nope.json", "."])
     def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, name):
         code = run_cli(
