@@ -18,9 +18,9 @@ A write/read round trip is bit-exact.
 """
 
 import enum
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -162,30 +162,42 @@ def write_matrix(matrix: DataMatrix, path) -> None:
 
 
 def read_matrix(path) -> DataMatrix:
-    """Read a CNIC1 file, validating header and payload."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER_SIZE:
-        raise BadMagic(f"{path}: file shorter than a CNIC1 header")
-    if blob[:4] != MAGIC or blob[4] != VERSION:
-        raise BadMagic(f"{path}: not a CNIC1 file")
-    rows, cols, kind_code = _HEADER.unpack_from(blob, 5)
-    try:
-        kind = RowKind(kind_code)
-    except ValueError:
-        raise BadMagic(f"{path}: unknown row-semantics code {kind_code}") from None
-    if rows == 0 or cols == 0:
-        raise EmptyMatrix(f"{path}: declared shape {rows}x{cols} is empty")
-    if rows * cols > MAX_ELEMENTS:
-        raise ShapeOverflow(f"{path}: {rows}x{cols} exceeds the element limit")
-    expected = _HEADER_SIZE + 8 * rows * cols
-    if len(blob) != expected:
+    """Read a CNIC1 file, validating header and payload.
+
+    The payload is read straight into the matrix's own array, so the file is
+    held in memory once.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER_SIZE)
+        if len(header) < _HEADER_SIZE:
+            raise BadMagic(f"{path}: file shorter than a CNIC1 header")
+        if header[:4] != MAGIC or header[4] != VERSION:
+            raise BadMagic(f"{path}: not a CNIC1 file")
+        rows, cols, kind_code = _HEADER.unpack_from(header, 5)
+        try:
+            kind = RowKind(kind_code)
+        except ValueError:
+            raise BadMagic(f"{path}: unknown row-semantics code {kind_code}") from None
+        if rows == 0 or cols == 0:
+            raise EmptyMatrix(f"{path}: declared shape {rows}x{cols} is empty")
+        if rows * cols > MAX_ELEMENTS:
+            raise ShapeOverflow(f"{path}: {rows}x{cols} exceeds the element limit")
+        expected = _HEADER_SIZE + 8 * rows * cols
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise TruncatedPayload(
+                f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}"
+            )
+        values = np.empty((rows, cols), dtype="<f8")
+        got = fh.readinto(values)
+    if got != values.nbytes:
         raise TruncatedPayload(
-            f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(blob)}"
+            f"{path}: expected {expected} bytes for {rows}x{cols}, "
+            f"got {_HEADER_SIZE + got}"
         )
-    values = np.frombuffer(blob, dtype="<f8", offset=_HEADER_SIZE).reshape(rows, cols)
     if not np.isfinite(values).all():
         raise NonFiniteValue(f"{path}: payload contains non-finite values")
-    return DataMatrix(values.copy(), kind)
+    return DataMatrix(values, kind)
 
 
 def read_csv_matrix(path, row_kind: RowKind = RowKind.PATTERNS) -> DataMatrix:

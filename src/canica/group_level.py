@@ -26,11 +26,12 @@ from .subject_level import (
     MIN_BOOT,
     SubjectReduction,
     _thin_svd,
-    _whiten,
     draw_chunks,
+    n_distinct,
     nearest_rank_quantile,
     resample_frames,
     resampled,
+    whiten_distinct,
 )
 
 DEFAULT_N_BOOT = 100
@@ -105,16 +106,20 @@ def bootstrap_max_correlations(
 
     One draw resamples each subject's residual frames with replacement,
     whitens the resample to its top n_s right singular directions, stacks
-    across subjects, and records the largest singular value. The stack's
-    Gram has blocks W_a^T G_ab W_b built from the residual cross-Grams G_ab,
-    so the cost per draw is independent of the voxel count.
+    across subjects, and records the largest singular value. Each subject is
+    whitened on its distinct frames u_a (``whiten_distinct``), so the stack's
+    Gram has blocks M_a^T G_ab[u_a, u_b] M_b built from the residual
+    cross-Grams G_ab, and the cost per draw is independent of the voxel
+    count.
 
     The draws are batched in chunks: per chunk, one stacked whitening per
     subject, one stacked block product per subject pair and one stacked
     eigenvalue call. Frame counts may differ between subjects, so the stack
-    axis is the draws. The cross-Grams, then the chunks, run on up to
+    axis is the draws. Each subject has one width for the whole bootstrap,
+    its largest distinct count or its order, so a draw's bits do not depend
+    on its chunk. The cross-Grams, then the chunks, run on up to
     ``_blas.worker_count`` threads with OpenBLAS held to one thread; each
-    chunk fills its own slice of the result, so the result depends on neither
+    chunk fills its own draws of the result, so the result depends on neither
     count.
     """
     if len(reductions) < 2:
@@ -133,28 +138,28 @@ def bootstrap_max_correlations(
     offsets = np.concatenate([[0], np.cumsum(orders)])
     total = int(offsets[-1])
     idx = resample_frames(seed, streams.CCA_NOISE_BOOT, n_boot, frames)
+    widths = [max(int(n_distinct(i).max()), n) for i, n in zip(idx, orders)]
     maxima = np.empty(n_boot)
 
-    def run_chunk(draws: slice) -> None:
-        i = [x[draws] for x in idx]
-        maps = [
-            _whiten(resampled(grams[s, s], i[s], i[s]), orders[s], n_voxels)[2]
+    def run_chunk(draws: np.ndarray) -> None:
+        kept, _, maps = zip(*(
+            whiten_distinct(grams[s, s], idx[s][draws], widths[s], orders[s], n_voxels)
             for s in range(n_subjects)
-        ]
-        stack_gram = np.empty((len(i[0]), total, total))
+        ))
+        stack_gram = np.empty((len(draws), total, total))
         for a in range(n_subjects):
             ra = slice(offsets[a], offsets[a + 1])
             for b in range(a, n_subjects):
                 rb = slice(offsets[b], offsets[b + 1])
                 block = (maps[a].transpose(0, 2, 1)
-                         @ resampled(grams[a, b], i[a], i[b]) @ maps[b])
+                         @ resampled(grams[a, b], kept[a], kept[b]) @ maps[b])
                 stack_gram[:, ra, rb] = block
                 if a != b:
                     stack_gram[:, rb, ra] = block.transpose(0, 2, 1)
         top = np.linalg.eigvalsh(stack_gram)[:, -1]
         maxima[draws] = np.sqrt(np.maximum(top, 0.0))
 
-    chunks = draw_chunks(n_boot, 8 * max(max(frames) ** 2, total**2))
+    chunks = draw_chunks(np.arange(n_boot), 8 * max(max(widths) ** 2, total**2))
     # Held here as well as in fit_group, since the threshold is also computed
     # on its own: pool workers on extra BLAS threads only compete for cores.
     with _blas.limit(), ThreadPoolExecutor(

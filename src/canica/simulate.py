@@ -99,7 +99,7 @@ def make_group_patterns(
             raise NumericalFailure("drew an all-zero pattern row")
         patterns[i] /= norm
     if k_true > 1:
-        _, rank, _ = _whiten(patterns @ patterns.T, k_true, n_voxels)
+        _, rank, _ = _whiten(patterns @ patterns.T, k_true, max(patterns.shape))
         if rank < k_true:
             raise NumericalFailure("pattern rows are numerically dependent")
     return DataMatrix(patterns, RowKind.PATTERNS)

@@ -29,10 +29,20 @@ never stops; the increment isolates each direction's own stability.
 The selected order is the largest n such that for every m <= n the mean
 gain over bootstrap draws strictly exceeds the chosen quantile of the
 null distribution of per-draw gains at order m, with candidates beyond
-the numerical rank of the data failing automatically. Each draw costs
-O(f^3), independent of the voxel count. The draws are batched: each chunk
+the numerical rank of the data failing automatically.
+
+Distinct frames. A resample of f frames keeps about 63% of them distinct.
+With its distinct frames u and their counts D, the resampled Gram has the
+nonzero spectrum of the u x u matrix D^1/2 G[u, u] D^1/2, and an eigenvector
+w of that matrix with singular value sigma gives the resample's pattern
+(D^1/2 w / sigma)^T Y[u]. Both bootstraps (order selection here, the noise
+threshold at the group level) whiten every draw on its distinct frames
+(Fisher, Caffo, Schwartz & Zipunnikov, JASA 2016), so a draw costs
+O(|u|^3), independent of the voxel count. The draws are batched: each chunk
 of them is one gather, one stacked eigendecomposition and one stacked
-product, which numpy runs in LAPACK and BLAS outside the interpreter.
+product, which numpy runs in LAPACK and BLAS outside the interpreter. A
+draw's matrices have a width fixed before chunking, padded with count-0
+frames, so its bits do not depend on which draws share its chunk.
 """
 
 import math
@@ -50,9 +60,10 @@ DEFAULT_N_BOOT = 100
 # the run config rejects fewer before any input is read.
 MIN_BOOT = 20
 DEFAULT_QUANTILE = 0.95
-# Bytes of one stacked operand in a chunk of bootstrap draws: enough draws
-# per numpy call to amortize the interpreter, few enough that the chunks'
-# working sets stay small next to the data.
+# Bytes of one stacked operand in a chunk of bootstrap draws, counted at the
+# draws' distinct-frame width: enough draws per numpy call to amortize the
+# interpreter, few enough that the chunks' working sets stay small next to
+# the data. A draw's width, not this budget, fixes its bits.
 CHUNK_BYTES = 1 << 19
 
 
@@ -93,12 +104,16 @@ class SubjectReduction:
         as no noise, as an all-zero residual does.
         """
         e = self.noise_residual.values
-        return float(np.vdot(e, e)) > _dead_level(self.singular_values[0] ** 2, *e.shape)
+        level = _dead_level(self.singular_values[0] ** 2, max(e.shape))
+        return float(np.vdot(e, e)) > level
 
 
-def _dead_level(lambda_max: float, n_frames: int, n_voxels: int) -> float:
-    """Gram eigenvalue at or below which a direction is rounding, not data."""
-    return lambda_max * max(n_frames, n_voxels) * np.finfo(float).eps
+def _dead_level(lambda_max: float, size: int) -> float:
+    """Gram eigenvalue at or below which a direction is rounding, not data.
+
+    ``size`` is the longer side, max(frames, voxels), of the data matrix.
+    """
+    return lambda_max * size * np.finfo(float).eps
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -112,14 +127,14 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(values[idx])
 
 
-def draw_chunks(n_boot: int, draw_bytes: int) -> list[slice]:
-    """Consecutive runs of draws whose stacked operands fit CHUNK_BYTES.
+def draw_chunks(draws: np.ndarray, draw_bytes: int) -> list[np.ndarray]:
+    """Consecutive runs of ``draws`` whose stacked operands fit CHUNK_BYTES.
 
     ``draw_bytes`` is the size of one draw's largest operand; a chunk holds
     at least one draw.
     """
     size = max(1, CHUNK_BYTES // draw_bytes)
-    return [slice(a, min(a + size, n_boot)) for a in range(0, n_boot, size)]
+    return [draws[a : a + size] for a in range(0, len(draws), size)]
 
 
 def resample_frames(
@@ -134,16 +149,23 @@ def resample_frames(
     return [np.stack([rng.integers(0, f, size=f) for rng in rngs]) for f in frames]
 
 
+def n_distinct(idx: np.ndarray) -> np.ndarray:
+    """Number of distinct frames in each resample (row) of ``idx``."""
+    ordered = np.sort(idx, axis=1)
+    return 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
+
+
 def resampled(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Stack of gram[rows[b]][:, cols[b]] over the draws b."""
     # one flat index gathers about twice as fast as two broadcast index arrays
     return np.take(gram, (rows * gram.shape[1])[:, :, None] + cols[:, None, :])
 
 
-def _whiten(gram: np.ndarray, order: int, n_voxels: int):
+def _whiten(gram: np.ndarray, order: int, size: int):
     """Descending sqrt(lambda), numerical rank and whitening map of a Gram.
 
-    The map's ``order`` columns are V/sqrt(lambda), zero on dead directions.
+    The map's ``order`` columns are V/sqrt(lambda), zero on dead directions;
+    ``size`` is the longer side of the data behind the Gram (its dead level).
     A stack of Grams (..., f, f) gives stacked results: each matrix has the
     dead level of its own top eigenvalue, and the rank is an array.
     """
@@ -152,12 +174,38 @@ def _whiten(gram: np.ndarray, order: int, n_voxels: int):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
     evals, evecs = evals[..., ::-1], evecs[..., ::-1][..., :order]
-    live = evals > _dead_level(evals[..., :1], gram.shape[-1], n_voxels)
+    live = evals > _dead_level(evals[..., :1], size)
     s = np.sqrt(np.clip(evals, 0.0, None))
     top = s[..., :order]
     scale = np.divide(1.0, top, out=np.zeros(top.shape), where=live[..., :order])
     rank = live.sum(axis=-1)
     return s, int(rank) if gram.ndim == 2 else rank, evecs * scale[..., None, :]
+
+
+def whiten_distinct(
+    gram: np.ndarray, idx: np.ndarray, width: int, order: int, n_voxels: int
+):
+    """Whiten each resample of ``idx`` on its distinct frames.
+
+    Row b of ``idx`` resamples the f frames behind ``gram``. Its distinct
+    frames u, ascending and padded with absent frames to ``width`` columns,
+    come with their counts D (0 on the padding). The resampled Gram has the
+    nonzero spectrum of D^1/2 gram[u, u] D^1/2, whose whitening map w/sigma
+    is returned scaled back as D^1/2 w/sigma: the resample's patterns are
+    map^T Y[u]. The dead level is that of the resample, f frames by
+    ``n_voxels``, not of the compressed width. Returns (frames, counts, maps)
+    of shapes (n, width), (n, width) and (n, width, order).
+    """
+    n, n_frames = idx.shape
+    flat = (idx + n_frames * np.arange(n)[:, None]).ravel()
+    all_counts = np.bincount(flat, minlength=n * n_frames).reshape(n, n_frames)
+    # a stable sort puts the present frames first, each group ascending
+    frames = np.argsort(all_counts == 0, axis=1, kind="stable")[:, :width]
+    counts = np.take_along_axis(all_counts, frames, axis=1)
+    root = np.sqrt(counts)
+    compressed = root[:, :, None] * resampled(gram, frames, frames) * root[:, None, :]
+    _, _, maps = _whiten(compressed, order, max(n_frames, n_voxels))
+    return frames, counts, root[:, :, None] * maps
 
 
 def _thin_svd(x: np.ndarray, order: int):
@@ -166,7 +214,7 @@ def _thin_svd(x: np.ndarray, order: int):
     Left vectors, full spectrum, and right vectors as rows whose
     largest-magnitude entry is positive.
     """
-    s, rank, w = _whiten(x @ x.T, order, x.shape[1])
+    s, rank, w = _whiten(x @ x.T, order, max(x.shape))
     w = w[:, : min(order, rank)]
     rows = w.T @ x
     # row by row, so no voxel-wide |rows| temporary is made
@@ -202,16 +250,25 @@ def _bootstrap_gains(
     seed: int,
     purpose: int,
 ) -> np.ndarray:
-    """Per-draw subspace-energy gains, shape (n_boot, max_order)."""
+    """Per-draw subspace-energy gains, shape (n_boot, max_order).
+
+    A draw's overlap with the reference patterns is map^T (gram ref_map)[u]
+    on its distinct frames u. Draws are grouped by their width, the larger of
+    their distinct count and ``max_order``, and chunked within a group.
+    """
     n_frames, max_order = ref_map.shape
     (idx,) = resample_frames(seed, purpose, n_boot, [n_frames])
+    projected = gram @ ref_map
+    widths = np.maximum(n_distinct(idx), max_order)
     gains = np.empty((n_boot, max_order))
-    for draws in draw_chunks(n_boot, gram.nbytes):
-        i = idx[draws]
-        _, _, boot_map = _whiten(resampled(gram, i, i), max_order, n_voxels)
-        overlap = boot_map.transpose(0, 2, 1) @ gram[i, :] @ ref_map
-        energy = (overlap**2).cumsum(axis=1).cumsum(axis=2).diagonal(axis1=1, axis2=2)
-        gains[draws] = np.diff(energy, axis=1, prepend=0.0)
+    for width in np.unique(widths).tolist():
+        for draws in draw_chunks(np.flatnonzero(widths == width), 8 * width**2):
+            frames, _, boot_map = whiten_distinct(
+                gram, idx[draws], width, max_order, n_voxels
+            )
+            overlap = boot_map.transpose(0, 2, 1) @ projected[frames]
+            energy = (overlap**2).cumsum(axis=1).cumsum(axis=2).diagonal(axis1=1, axis2=2)
+            gains[draws] = np.diff(energy, axis=1, prepend=0.0)
     return gains
 
 
@@ -243,14 +300,14 @@ def order_stability(
                                    np.zeros(max_order, bool), 0)
 
     gram = y @ y.T
-    _, rank, ref_map = _whiten(gram, max_order, n_voxels)
+    _, rank, ref_map = _whiten(gram, max_order, max(y.shape))
     data_gains = _bootstrap_gains(
         gram, ref_map, n_voxels, n_boot, seed, streams.ORDER_DATA_BOOT
     )
 
     null = streams.substream(seed, streams.ORDER_NULL_MATRIX).standard_normal(y.shape)
     null_gram = null @ null.T
-    _, _, null_map = _whiten(null_gram, max_order, n_voxels)
+    _, _, null_map = _whiten(null_gram, max_order, max(y.shape))
     null_gains = _bootstrap_gains(
         null_gram, null_map, n_voxels, n_boot, seed, streams.ORDER_NULL_BOOT
     )

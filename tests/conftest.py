@@ -96,45 +96,178 @@ def reference_bootstrap_gains(gram, ref_map, n_voxels, n_boot, seed, purpose):
     gains = np.empty((n_boot, max_order))
     for b in range(n_boot):
         idx = substream(seed, purpose, b).integers(0, n_frames, size=n_frames)
-        _, _, boot_map = _whiten(gram[np.ix_(idx, idx)], max_order, n_voxels)
+        _, _, boot_map = _whiten(
+            gram[np.ix_(idx, idx)], max_order, max(n_frames, n_voxels)
+        )
         overlap = boot_map.T @ gram[idx, :] @ ref_map
         energy = (overlap**2).cumsum(axis=0).cumsum(axis=1).diagonal()
         gains[b] = np.diff(energy, prepend=0.0)
     return gains
 
 
-def reference_max_correlations(reductions, n_boot, seed):
-    """Noise-bootstrap maxima drawn one stack of resampled residuals at a time."""
+def resample_spectrum(gram, idx):
+    """Descending singular values of the data behind gram[idx][:, idx]."""
+    evals = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])[::-1]
+    return np.sqrt(np.clip(evals, 0.0, None))
+
+
+def live_vector_tolerances(s, n_rows, size):
+    """gram_tolerances' eigenvector bounds, 0 on dead directions and at most 2.
+
+    Both roundings zero a direction at or below the dead level, and two unit
+    vectors, signs aligned, differ by at most 2.
+    """
+    _, vector_tol = gram_tolerances(s, n_rows)
+    live = s**2 > s[0] ** 2 * size * EPS
+    return np.where(live, np.minimum(vector_tol, 2.0), 0.0)
+
+
+def reference_gain_tolerances(gram, ref_map, n_voxels, n_boot, seed, purpose):
+    """Bound on each gain's change when a draw's Gram is rounded differently.
+
+    The energy at order m is ||P_boot P_ref^T||_F^2 over the first m rows, at
+    most m, so it moves by at most 2 sqrt(m) ||dP_boot||_F, and a gain, the
+    difference of two energies, by the sum of their bounds. ||dP_boot||_F
+    comes from the eigenvector bounds of the resample's spectrum.
+    """
+    n_frames, max_order = ref_map.shape
+    bounds = np.empty((n_boot, max_order))
+    for b in range(n_boot):
+        idx = substream(seed, purpose, b).integers(0, n_frames, size=n_frames)
+        s = resample_spectrum(gram, idx)
+        err = live_vector_tolerances(s, n_frames, max(n_frames, n_voxels))[:max_order]
+        energy = 2 * np.sqrt(np.arange(1, max_order + 1) * np.cumsum(err**2))
+        bounds[b] = energy + np.append(0.0, energy[:-1])
+    return bounds
+
+
+def distinct_frames(idx, width):
+    """One resample's distinct frames, ascending, then absent ones up to width.
+
+    Returns the frames and their counts, 0 on the absent (padding) frames.
+    """
+    counts = np.bincount(idx, minlength=len(idx))
+    frames = np.concatenate([np.flatnonzero(counts), np.flatnonzero(counts == 0)])
+    return frames[:width], counts[frames[:width]]
+
+
+def compressed_map(gram, idx, width, order, n_voxels):
+    """One resample's whitening on its distinct frames, scaled back by D^1/2."""
+    frames, counts = distinct_frames(idx, width)
+    root = np.sqrt(counts)
+    compressed = root[:, None] * gram[np.ix_(frames, frames)] * root[None, :]
+    _, _, w = _whiten(compressed, order, max(len(idx), n_voxels))
+    return frames, root[:, None] * w
+
+
+def compressed_bootstrap_gains(gram, ref_map, n_voxels, n_boot, seed, purpose):
+    """Order-selection gains drawn one distinct-frame whitening at a time."""
+    n_frames, max_order = ref_map.shape
+    projected = gram @ ref_map
+    gains = np.empty((n_boot, max_order))
+    for b in range(n_boot):
+        idx = substream(seed, purpose, b).integers(0, n_frames, size=n_frames)
+        width = max(len(np.unique(idx)), max_order)
+        frames, boot_map = compressed_map(gram, idx, width, max_order, n_voxels)
+        overlap = boot_map.T @ projected[frames]
+        energy = (overlap**2).cumsum(axis=0).cumsum(axis=1).diagonal()
+        gains[b] = np.diff(energy, prepend=0.0)
+    return gains
+
+
+def residual_grams(reductions):
     residuals = [r.noise_residual.values for r in reductions]
-    orders = [r.whitened_patterns.rows for r in reductions]
-    n_subjects = len(reductions)
-    frames = [e.shape[0] for e in residuals]
-    n_voxels = residuals[0].shape[1]
-    grams = {}
-    for a in range(n_subjects):
-        for b in range(a, n_subjects):
-            grams[a, b] = residuals[a] @ residuals[b].T
-    offsets = np.concatenate([[0], np.cumsum(orders)])
-    total = int(offsets[-1])
-    maxima = np.empty(n_boot)
+    return {
+        (a, b): residuals[a] @ residuals[b].T
+        for a in range(len(residuals))
+        for b in range(a, len(residuals))
+    }
+
+
+def noise_resamples(reductions, n_boot, seed):
+    """Each draw's frame indices, one array per subject."""
+    frames = [r.noise_residual.rows for r in reductions]
+    draws = []
     for draw in range(n_boot):
         rng = substream(seed, CCA_NOISE_BOOT, draw)
-        idx = [rng.integers(0, frames[s], size=frames[s]) for s in range(n_subjects)]
+        draws.append([rng.integers(0, f, size=f) for f in frames])
+    return draws
+
+
+def stack_maximum(grams, maps, kept, orders):
+    """Largest singular value of the stack whose blocks are map_a^T G_ab map_b."""
+    offsets = np.concatenate([[0], np.cumsum(orders)])
+    stack_gram = np.empty((offsets[-1], offsets[-1]))
+    for a in range(len(orders)):
+        ra = slice(offsets[a], offsets[a + 1])
+        for b in range(a, len(orders)):
+            rb = slice(offsets[b], offsets[b + 1])
+            block = maps[a].T @ grams[a, b][np.ix_(kept[a], kept[b])] @ maps[b]
+            stack_gram[ra, rb] = block
+            if a != b:
+                stack_gram[rb, ra] = block.T
+    return np.sqrt(max(np.linalg.eigvalsh(stack_gram)[-1], 0.0))
+
+
+def compressed_max_correlations(reductions, n_boot, seed):
+    """Noise-bootstrap maxima drawn one distinct-frame stack at a time.
+
+    Each subject's width is its largest distinct count over all draws, or
+    its order if that is larger.
+    """
+    grams = residual_grams(reductions)
+    orders = [r.whitened_patterns.rows for r in reductions]
+    n_voxels = reductions[0].n_voxels
+    draws = noise_resamples(reductions, n_boot, seed)
+    widths = [
+        max(max(len(np.unique(idx[s])) for idx in draws), orders[s])
+        for s in range(len(reductions))
+    ]
+    maxima = np.empty(n_boot)
+    for b, idx in enumerate(draws):
+        kept, maps = zip(*(
+            compressed_map(grams[s, s], idx[s], widths[s], orders[s], n_voxels)
+            for s in range(len(reductions))
+        ))
+        maxima[b] = stack_maximum(grams, maps, kept, orders)
+    return maxima
+
+
+def reference_maxima_tolerances(reductions, maxima, seed):
+    """Bound on the change of each of ``maxima`` when its draw rounds differently.
+
+    The stack P of whitened patterns moves by ||dP||_F <= d, from the
+    eigenvector bounds of each subject's resample. Its top singular value m
+    then moves by at most d + d^2 / 2m, plus the stack eigenvalue's own
+    rounding, 10 * rows * eps * m^2, over 2m.
+    """
+    grams = residual_grams(reductions)
+    orders = [r.whitened_patterns.rows for r in reductions]
+    n_voxels = reductions[0].n_voxels
+    bounds = np.empty(len(maxima))
+    for b, idx in enumerate(noise_resamples(reductions, len(maxima), seed)):
+        d2 = 0.0
+        for s, i in enumerate(idx):
+            spectrum = resample_spectrum(grams[s, s], i)
+            err = live_vector_tolerances(spectrum, len(i), max(len(i), n_voxels))
+            d2 += (err[: orders[s]] ** 2).sum()
+        m = maxima[b]
+        bounds[b] = np.sqrt(d2) + d2 / (2 * m) + 10 * sum(orders) * EPS * m / 2
+    return bounds
+
+
+def reference_max_correlations(reductions, n_boot, seed):
+    """Noise-bootstrap maxima drawn one stack of resampled residuals at a time."""
+    grams = residual_grams(reductions)
+    orders = [r.whitened_patterns.rows for r in reductions]
+    n_voxels = reductions[0].n_voxels
+    maxima = np.empty(n_boot)
+    for b, idx in enumerate(noise_resamples(reductions, n_boot, seed)):
         maps = [
-            _whiten(grams[s, s][np.ix_(idx[s], idx[s])], orders[s], n_voxels)[2]
-            for s in range(n_subjects)
+            _whiten(grams[s, s][np.ix_(i, i)], orders[s], max(len(i), n_voxels))[2]
+            for s, i in enumerate(idx)
         ]
-        stack_gram = np.empty((total, total))
-        for a in range(n_subjects):
-            ra = slice(offsets[a], offsets[a + 1])
-            for b in range(a, n_subjects):
-                rb = slice(offsets[b], offsets[b + 1])
-                block = maps[a].T @ grams[a, b][np.ix_(idx[a], idx[b])] @ maps[b]
-                stack_gram[ra, rb] = block
-                if a != b:
-                    stack_gram[rb, ra] = block.T
-        top = np.linalg.eigvalsh(stack_gram)[-1]
-        maxima[draw] = np.sqrt(max(top, 0.0))
+        maxima[b] = stack_maximum(grams, maps, idx, orders)
     return maxima
 
 

@@ -133,6 +133,19 @@ class TestBinaryFormat:
         write_matrix(read_matrix(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_payload_is_held_once(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "big.cnic"
+        write_matrix(DataMatrix(np.ones((500, 1000))), path)
+        tracemalloc.start()
+        try:
+            matrix = read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * matrix.values.nbytes
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cnic"
         path.write_bytes(b"NOPE" + bytes(30))

@@ -22,8 +22,14 @@ from canica import (
 from canica import subject_level
 from canica.errors import BadDimension, EmptyGroup, EmptyNoise
 from canica.streams import CCA_NOISE_BOOT, substream
-from canica.subject_level import _whiten, resample_frames
-from conftest import gram_tolerances, reference_max_correlations, reference_svd
+from canica.subject_level import _whiten, n_distinct, resample_frames
+from conftest import (
+    compressed_max_correlations,
+    gram_tolerances,
+    reference_max_correlations,
+    reference_maxima_tolerances,
+    reference_svd,
+)
 
 
 def reduction_from(patterns, residual=None, subject_id="s"):
@@ -213,10 +219,15 @@ class TestNoiseThreshold:
     def test_equal_to_the_per_draw_loop(self, monkeypatch, n_boot, chunk_draws):
         reds = self.unequal_reductions()
         if chunk_draws is not None:
-            # the 41-frame subject's resampled Gram is the largest operand
-            monkeypatch.setattr(subject_level, "CHUNK_BYTES", chunk_draws * 8 * 41**2)
+            # the widest subject's compressed Gram is the largest operand
+            idx = resample_frames(4, CCA_NOISE_BOOT, n_boot, [30, 24, 6, 41])
+            widest = max(n_distinct(i).max() for i in idx)
+            monkeypatch.setattr(subject_level, "CHUNK_BYTES", chunk_draws * 8 * widest**2)
         maxima = bootstrap_max_correlations(reds, n_boot=n_boot, seed=4)
-        assert np.array_equal(maxima, reference_max_correlations(reds, n_boot, 4))
+        assert np.array_equal(maxima, compressed_max_correlations(reds, n_boot, 4))
+        reference = reference_max_correlations(reds, n_boot, 4)
+        bound = reference_maxima_tolerances(reds, reference, 4)
+        assert (np.abs(maxima - reference) <= bound).all()
 
     def test_unequal_subjects_include_rank_deficient_resamples(self):
         # the 6-frame subject's resamples mix ranks, so a chunk's stack holds
@@ -239,6 +250,16 @@ class TestNoiseThreshold:
             results.append(bootstrap_max_correlations(reds, n_boot=37, seed=5))
         assert results[0] == results[2]
         assert np.array_equal(results[1], results[3])
+
+    def test_bits_do_not_depend_on_the_chunk_budget_or_thread_cap(self, monkeypatch):
+        reds = self.unequal_reductions()
+        expected = bootstrap_max_correlations(reds, n_boot=37, seed=6)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("CANICA_THREADS", threads)
+            for budget in (1, 8 * 30**2, 1 << 16, 1 << 30):
+                monkeypatch.setattr(subject_level, "CHUNK_BYTES", budget)
+                maxima = bootstrap_max_correlations(reds, n_boot=37, seed=6)
+                assert np.array_equal(maxima, expected)
 
     def test_pure_noise_rejects_everything(self):
         hits = 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 
@@ -18,8 +18,24 @@ from canica import (
 from canica import subject_level
 from canica.errors import BadDimension
 from canica.streams import ORDER_DATA_BOOT, substream
-from canica.subject_level import _bootstrap_gains, _whiten
-from conftest import gram_tolerances, reference_bootstrap_gains, reference_svd
+from canica.subject_level import (
+    _bootstrap_gains,
+    _whiten,
+    draw_chunks,
+    n_distinct,
+    resample_frames,
+    whiten_distinct,
+)
+from conftest import (
+    EPS,
+    compressed_bootstrap_gains,
+    gram_tolerances,
+    live_vector_tolerances,
+    reference_bootstrap_gains,
+    reference_gain_tolerances,
+    reference_svd,
+    resample_spectrum,
+)
 
 
 def series_of(values):
@@ -222,11 +238,95 @@ class TestBatchedDraws:
         # rank 3 under order 6 leaves dead directions, and zero map columns,
         # in the reference map and in every resample
         if chunk_draws is not None:
-            monkeypatch.setattr(
-                subject_level, "CHUNK_BYTES", chunk_draws * 8 * n_frames**2
-            )
+            # the narrowest draws' compressed Grams fill a chunk with chunk_draws
+            (idx,) = resample_frames(11, ORDER_DATA_BOOT, n_boot, [n_frames])
+            width = max(n_distinct(idx).min(), max_order)
+            monkeypatch.setattr(subject_level, "CHUNK_BYTES", chunk_draws * 8 * width**2)
         gram = low_rank_gram(n_frames, rank, 200, seed=n_frames)
         _, _, ref_map = _whiten(gram, max_order, 200)
         args = (gram, ref_map, 200, n_boot, 11, ORDER_DATA_BOOT)
-        assert np.array_equal(_bootstrap_gains(*args), reference_bootstrap_gains(*args))
+        gains = _bootstrap_gains(*args)
+        assert np.array_equal(gains, compressed_bootstrap_gains(*args))
+        error = np.abs(gains - reference_bootstrap_gains(*args))
+        assert (error <= reference_gain_tolerances(*args)).all()
 
+    def test_bits_do_not_depend_on_the_chunk_budget_or_thread_cap(self, monkeypatch):
+        gram = low_rank_gram(41, 41, 200, seed=2)
+        _, _, ref_map = _whiten(gram, 12, 200)
+        args = (gram, ref_map, 200, 37, 11, ORDER_DATA_BOOT)
+        expected = _bootstrap_gains(*args)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("CANICA_THREADS", threads)
+            for budget in (1, 8 * 30**2, 1 << 16, 1 << 30):
+                monkeypatch.setattr(subject_level, "CHUNK_BYTES", budget)
+                assert np.array_equal(_bootstrap_gains(*args), expected)
+
+    def test_reference_frame_count_plans_several_draws_per_chunk(self, monkeypatch):
+        # a full 200 x 200 resampled Gram alone would fill the default budget
+        sizes = []
+
+        def recording(draws, draw_bytes):
+            chunks = draw_chunks(draws, draw_bytes)
+            sizes.extend(len(c) for c in chunks)
+            return chunks
+
+        monkeypatch.setattr(subject_level, "draw_chunks", recording)
+        gram = low_rank_gram(200, 200, 400, seed=3)
+        _, _, ref_map = _whiten(gram, 20, 400)
+        _bootstrap_gains(gram, ref_map, 400, 100, 0, ORDER_DATA_BOOT)
+        assert sum(sizes) == 100
+        assert len(sizes) < 50 and max(sizes) > 1
+
+
+@st.composite
+def resampled_grams(draw):
+    """A low-rank frame Gram, a few resamples of its frames and an order.
+
+    Frame counts reach above the voxel count and orders above a resample's
+    distinct count.
+    """
+    n_frames = draw(st.integers(2, 16))
+    n_voxels = draw(st.integers(2, 24))
+    rank = draw(st.integers(1, min(n_frames, n_voxels)))
+    gram = low_rank_gram(n_frames, rank, n_voxels, draw(st.integers(0, 2**16)))
+    frame = st.integers(0, n_frames - 1)
+    resample = st.lists(frame, min_size=n_frames, max_size=n_frames)
+    idx = np.array(draw(st.lists(resample, min_size=1, max_size=4)))
+    return gram, idx, draw(st.integers(1, n_frames)), n_voxels
+
+
+# Frame 1's eigenvalue, 5 eps of frame 0's, lies under the dead level of the
+# 8-frame resample (8 eps) and over that of its 3 distinct frames (3 eps);
+# diagonal Grams make every eigenvalue exact.
+PLANTED_DEAD = (np.diag([1.0, 5 * EPS] + [0.0] * 6),
+                np.array([[0, 1, 2, 2, 2, 2, 2, 2]]), 2, 3)
+
+
+class TestDistinctFrames:
+    @settings(max_examples=80)
+    @given(case=resampled_grams())
+    @example(case=PLANTED_DEAD)
+    @example(case=(low_rank_gram(10, 4, 30, seed=0), np.full((2, 10), 3), 5, 30))
+    def test_whitening_maps_the_full_resample(self, case):
+        gram, idx, order, n_voxels = case
+        n_frames = gram.shape[0]
+        size = max(n_frames, n_voxels)
+        width = max(int(n_distinct(idx).max()), order)
+        frames, counts, maps = whiten_distinct(gram, idx, width, order, n_voxels)
+        assert frames.shape == counts.shape == (len(idx), width)
+        for i, u, d, m in zip(idx, frames, counts, maps):
+            present = np.unique(i)
+            assert d.sum() == n_frames
+            assert np.array_equal(u[: len(present)], present)
+            assert np.array_equal(d[: len(present)], np.bincount(i)[present])
+            assert (d[len(present):] == 0).all() and len(set(u.tolist())) == width
+            # the resample's patterns against the data: map^T Y[u] Y^T
+            got = m.T @ gram[u, :]
+            want = _whiten(gram[np.ix_(i, i)], order, size)[2].T @ gram[i, :]
+            assert np.array_equal(got.any(axis=1), want.any(axis=1))
+            sign = np.where((got * want).sum(axis=1) < 0, -1.0, 1.0)[:, None]
+            vector_tol = live_vector_tolerances(resample_spectrum(gram, i), n_frames, size)
+            norm = np.linalg.norm(gram, 2)
+            tol = (vector_tol[:order] * np.sqrt(norm)
+                   + 10 * n_frames * EPS * np.linalg.norm(m, axis=0) * norm)
+            assert (np.abs(sign * got - want).max(axis=1) <= tol).all()
