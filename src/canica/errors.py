@@ -55,7 +55,7 @@ class DegenerateInput(DataError):
 
 
 class EmptyNoise(DegenerateInput):
-    """A subject's noise residual is identically zero."""
+    """A subject's noise residual has no energy above the rank rule's dead level."""
 
 
 class NotWhitened(DataError):

@@ -11,7 +11,8 @@ squared singular value, so values lie in (0, sqrt(S)].
 Directions are kept when their singular value strictly exceeds a
 noise-calibrated threshold: the bootstrap distribution of the maximum
 singular value obtained by re-whitening frame-resampled copies of each
-subject's noise residual and stacking those instead.
+subject's noise residual and stacking those instead. The residuals are
+never formed: their frame cross-Grams are the data's, projected in frame space.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -109,8 +110,10 @@ def bootstrap_max_correlations(
     across subjects, and records the largest singular value. Each subject is
     whitened on its distinct frames u_a (``whiten_distinct``), so the stack's
     Gram has blocks M_a^T G_ab[u_a, u_b] M_b built from the residual
-    cross-Grams G_ab, and the cost per draw is independent of the voxel
-    count.
+    cross-Grams G_ab = E_a E_b^T, and the cost per draw is independent of the
+    voxel count. With E_a = (I - V_a V_a^T) Y_a, each G_ab is the data's
+    cross-Gram Y_a Y_b^T projected in frame space. A subject without noise
+    (``SubjectReduction.has_noise``) raises ``EmptyNoise``.
 
     The draws are batched in chunks: per chunk, one stacked whitening per
     subject, one stacked block product per subject pair and one stacked
@@ -129,11 +132,14 @@ def bootstrap_max_correlations(
     for r in reductions:
         if not r.has_noise:
             raise EmptyNoise(f"subject {r.subject_id!r} {NO_NOISE}")
-    residuals = [r.noise_residual.values for r in reductions]
+    data = [r.data.values for r in reductions]
+    bases = [r.frame_basis for r in reductions]
+    # a projected Gram keeps its data's rounding, so its dead level is the data's
+    tops = [r.singular_values[0] ** 2 for r in reductions]
     orders = [r.whitened_patterns.rows for r in reductions]
     n_subjects = len(reductions)
-    frames = [e.shape[0] for e in residuals]
-    n_voxels = residuals[0].shape[1]
+    frames = [r.data.rows for r in reductions]
+    n_voxels = reductions[0].n_voxels
     pairs = [(a, b) for a in range(n_subjects) for b in range(a, n_subjects)]
     offsets = np.concatenate([[0], np.cumsum(orders)])
     total = int(offsets[-1])
@@ -141,9 +147,16 @@ def bootstrap_max_correlations(
     widths = [max(int(n_distinct(i).max()), n) for i, n in zip(idx, orders)]
     maxima = np.empty(n_boot)
 
+    def residual_gram(pair: tuple[int, int]) -> np.ndarray:
+        a, b = pair
+        gram = data[a] @ data[b].T
+        gram -= bases[a] @ (bases[a].T @ gram)
+        return gram - (gram @ bases[b]) @ bases[b].T
+
     def run_chunk(draws: np.ndarray) -> None:
         kept, _, maps = zip(*(
-            whiten_distinct(grams[s, s], idx[s][draws], widths[s], orders[s], n_voxels)
+            whiten_distinct(grams[s, s], idx[s][draws], widths[s], orders[s], n_voxels,
+                            tops[s])
             for s in range(n_subjects)
         ))
         stack_gram = np.empty((len(draws), total, total))
@@ -165,8 +178,7 @@ def bootstrap_max_correlations(
     with _blas.limit(), ThreadPoolExecutor(
         _blas.worker_count(max(len(pairs), len(chunks)))
     ) as pool:
-        products = pool.map(lambda p: residuals[p[0]] @ residuals[p[1]].T, pairs)
-        grams = dict(zip(pairs, products))
+        grams = dict(zip(pairs, pool.map(residual_gram, pairs)))
         list(pool.map(run_chunk, chunks))
     return maxima
 

@@ -8,8 +8,9 @@ subject index or draw, and all randomness is derived from the configured
 seed, so output is identical regardless of worker count. ``CANICA_THREADS``
 caps the pools. The whole fit runs with numpy's bundled OpenBLAS held to one
 thread (``_blas.limit``), so no product's last bits depend on the BLAS thread
-count. The standardized series are released once the subject pool ends, so
-the noise bootstrap's chunks run in the memory they occupied.
+count. The reductions hold the standardized series themselves, not copies:
+the noise bootstrap reads each residual as the series' frame cross-Grams,
+projected off the kept patterns' frame directions.
 """
 
 import dataclasses
@@ -25,9 +26,8 @@ import numpy as np
 
 from . import _blas, group_level, source_separation, streams, subject_level, thresholding
 from .data_model import GroupDataset, standardize
-from .errors import BadDimension, ConfigError
+from .errors import BadDimension, ConfigError, EmptyNoise
 from .group_level import (
-    NO_NOISE,
     GroupSubspace,
     group_cca,
     noise_threshold,
@@ -255,9 +255,6 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
     with ThreadPoolExecutor(max_workers=_blas.worker_count(len(subjects))) as pool:
         staged = list(pool.map(subject_stage, range(len(subjects))))
     subject_ids = tuple(s.subject_id for s in subjects)
-    # Only the ids are used from here on: free the standardized copies before
-    # the noise bootstrap needs its working memory.
-    del subjects
     orders = tuple(s[0] for s in staged)
     curves = tuple(s[1] for s in staged)
     reductions = tuple(s[2] for s in staged if s[2] is not None)
@@ -271,18 +268,18 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
     if len(reductions) < 2:
         base.message = NO_SUBSPACE_MESSAGE
         return base
-    noiseless = [r.subject_id for r in reductions if not r.has_noise]
-    if noiseless:
-        base.message = f"{NO_SUBSPACE_MESSAGE}: subject {noiseless[0]!r} {NO_NOISE}"
-        return base
 
     decomposition = group_cca(list(reductions))
-    threshold = noise_threshold(
-        list(reductions),
-        n_boot=config.cca_n_boot,
-        alpha=config.cca_alpha,
-        seed=streams.derive_seed(config.seed, streams.PIPELINE_CCA_SEED),
-    )
+    try:
+        threshold = noise_threshold(
+            list(reductions),
+            n_boot=config.cca_n_boot,
+            alpha=config.cca_alpha,
+            seed=streams.derive_seed(config.seed, streams.PIPELINE_CCA_SEED),
+        )
+    except EmptyNoise as exc:
+        base.message = f"{NO_SUBSPACE_MESSAGE}: {exc}"
+        return base
     subspace = select_group_subspace(decomposition, threshold)
     base.correlations_full = decomposition.correlations
     base.threshold = threshold

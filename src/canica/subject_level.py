@@ -4,9 +4,11 @@ Every decomposition, here and at the group level, is one eigendecomposition
 of a small Gram matrix under one rank rule. A subject's frame Gram
 G = Y Y^T = V diag(lambda) V^T gives the whitening map W = V/sqrt(lambda)
 and orthonormal patterns W^T Y (its leading right singular vectors); the
-rest of Y is the noise residual. A direction with lambda <= lambda_max *
-max(frames, voxels) * eps is dead (a zero column of W), so an order above
-the numerical rank keeps the rank. The order is chosen by comparing
+rest of Y, (I - V V^T) Y over the kept columns of V, is the noise residual.
+A direction with lambda <= lambda_max * max(frames, voxels) * eps is dead
+(a zero column of W), so an order above the numerical rank keeps the rank,
+and a subject has noise only while its first discarded direction is live.
+The order is chosen by comparing
 bootstrap stability of the leading right-singular subspace against the
 same statistic on a matching pure noise matrix.
 
@@ -80,11 +82,16 @@ class OrderSelectionCurve:
 
 @dataclass(frozen=True)
 class SubjectReduction:
-    """Whitened retained patterns and the discarded noise residual."""
+    """Whitened retained patterns, with the data and frame directions behind them.
+
+    The noise residual (I - V V^T) Y is not stored: the noise bootstrap
+    reads it only through frame cross-Grams.
+    """
 
     subject_id: str
     whitened_patterns: DataMatrix  # n x n_voxels, orthonormal rows
-    noise_residual: DataMatrix  # n_frames x n_voxels
+    data: DataMatrix  # n_frames x n_voxels, the reduced series' own matrix
+    frame_basis: np.ndarray  # n_frames x n, orthonormal columns V
     singular_values: np.ndarray  # full spectrum, nonincreasing
 
     @property
@@ -96,16 +103,20 @@ class SubjectReduction:
         return self.whitened_patterns.cols
 
     @property
-    def has_noise(self) -> bool:
-        """Whether the residual's energy exceeds the rank rule's dead level.
+    def noise_residual(self) -> DataMatrix:
+        """The discarded part of the data, (I - V V^T) Y, built on each call."""
+        y, v = self.data.values, self.frame_basis
+        return DataMatrix(y - v @ (v.T @ y), RowKind.FRAMES)
 
-        The level is that of the subject's top eigenvalue, so the rounding
-        left behind by a reduction that kept the whole numerical rank counts
-        as no noise, as an all-zero residual does.
+    @property
+    def has_noise(self) -> bool:
+        """Whether the first discarded direction is live under the rank rule.
+
+        A reduction that kept the whole numerical rank leaves rounding, not noise.
         """
-        e = self.noise_residual.values
-        level = _dead_level(self.singular_values[0] ** 2, max(e.shape))
-        return float(np.vdot(e, e)) > level
+        s, n = self.singular_values, self.selected_order
+        size = max(self.data.values.shape)
+        return bool(n < len(s) and s[n] ** 2 > _dead_level(s[0] ** 2, size))
 
 
 def _dead_level(lambda_max: float, size: int) -> float:
@@ -161,20 +172,22 @@ def resampled(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     return np.take(gram, (rows * gram.shape[1])[:, :, None] + cols[:, None, :])
 
 
-def _whiten(gram: np.ndarray, order: int, size: int):
+def _whiten(gram: np.ndarray, order: int, size: int, data_top: float = 0.0):
     """Descending sqrt(lambda), numerical rank and whitening map of a Gram.
 
     The map's ``order`` columns are V/sqrt(lambda), zero on dead directions;
     ``size`` is the longer side of the data behind the Gram (its dead level).
     A stack of Grams (..., f, f) gives stacked results: each matrix has the
-    dead level of its own top eigenvalue, and the rank is an array.
+    dead level of its own top eigenvalue, and the rank is an array. A Gram
+    that carries the rounding of larger data, as a projected one does, takes
+    the dead level of that data's top eigenvalue ``data_top`` when it is larger.
     """
     try:
         evals, evecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
     evals, evecs = evals[..., ::-1], evecs[..., ::-1][..., :order]
-    live = evals > _dead_level(evals[..., :1], size)
+    live = evals > _dead_level(np.maximum(evals[..., :1], data_top), size)
     s = np.sqrt(np.clip(evals, 0.0, None))
     top = s[..., :order]
     scale = np.divide(1.0, top, out=np.zeros(top.shape), where=live[..., :order])
@@ -183,7 +196,8 @@ def _whiten(gram: np.ndarray, order: int, size: int):
 
 
 def whiten_distinct(
-    gram: np.ndarray, idx: np.ndarray, width: int, order: int, n_voxels: int
+    gram: np.ndarray, idx: np.ndarray, width: int, order: int, n_voxels: int,
+    data_top: float = 0.0,
 ):
     """Whiten each resample of ``idx`` on its distinct frames.
 
@@ -193,8 +207,8 @@ def whiten_distinct(
     nonzero spectrum of D^1/2 gram[u, u] D^1/2, whose whitening map w/sigma
     is returned scaled back as D^1/2 w/sigma: the resample's patterns are
     map^T Y[u]. The dead level is that of the resample, f frames by
-    ``n_voxels``, not of the compressed width. Returns (frames, counts, maps)
-    of shapes (n, width), (n, width) and (n, width, order).
+    ``n_voxels`` (or ``data_top``'s), not of the compressed width. Returns
+    (frames, counts, maps) of shapes (n, width), (n, width) and (n, width, order).
     """
     n, n_frames = idx.shape
     flat = (idx + n_frames * np.arange(n)[:, None]).ravel()
@@ -204,7 +218,7 @@ def whiten_distinct(
     counts = np.take_along_axis(all_counts, frames, axis=1)
     root = np.sqrt(counts)
     compressed = root[:, :, None] * resampled(gram, frames, frames) * root[:, None, :]
-    _, _, maps = _whiten(compressed, order, max(n_frames, n_voxels))
+    _, _, maps = _whiten(compressed, order, max(n_frames, n_voxels), data_top)
     return frames, counts, root[:, :, None] * maps
 
 
@@ -226,18 +240,18 @@ def _thin_svd(x: np.ndarray, order: int):
 
 
 def svd_reduce(series: SubjectSeries, order: int) -> SubjectReduction:
-    """Split a series into its top ``min(order, rank)`` patterns and residual."""
+    """Keep a series' top ``min(order, rank)`` patterns and their frame directions."""
     y = series.data.values
     if not 1 <= order <= min(y.shape):
         raise BadDimension(
             f"order must be in [1, {min(y.shape)}], got {order}"
         )
     u, s, patterns = _thin_svd(y, order)
-    residual = y - (u * s[: len(patterns)]) @ patterns
     return SubjectReduction(
         subject_id=series.subject_id,
         whitened_patterns=DataMatrix(patterns, RowKind.PATTERNS),
-        noise_residual=DataMatrix(residual, RowKind.FRAMES),
+        data=series.data,
+        frame_basis=u,
         singular_values=s,
     )
 

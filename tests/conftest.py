@@ -256,6 +256,51 @@ def reference_maxima_tolerances(reductions, maxima, seed):
     return bounds
 
 
+def projected_maxima_tolerances(reductions, maxima, seed):
+    """reference_maxima_tolerances for residual Grams projected from the data's.
+
+    The bootstrap forms E_a E_b^T as the data's cross-Gram Y_a Y_b^T projected
+    in frame space, so each of its residual Grams carries the data Gram's
+    rounding, 10 * frames * eps * t_a t_b, where t is the top singular value
+    of a subject's resampled data. On a subject's own Gram that moves the
+    whitened patterns by the eigenvector bounds of its resampled residual
+    spectrum, taken with that noise; on a cross block it moves the stack Gram
+    by the noise scaled by both whitening maps, 1 / (sigma_a sigma_b) with
+    sigma the smallest kept live singular value. The top singular value m of
+    the stack moves by d + d^2 / 2m for the patterns' total movement d, by
+    the cross blocks' Frobenius norm over 2m, and by the stack eigenvalue's
+    own rounding.
+    """
+    grams = residual_grams(reductions)
+    orders = [r.whitened_patterns.rows for r in reductions]
+    n_voxels = reductions[0].n_voxels
+    data = [r.data.values for r in reductions]
+    bounds = np.empty(len(maxima))
+    for b, idx in enumerate(noise_resamples(reductions, len(maxima), seed)):
+        d2, tops, smallest = 0.0, [], []
+        for s, i in enumerate(idx):
+            top = resample_spectrum(data[s] @ data[s].T, i)[0]
+            spectrum = resample_spectrum(grams[s, s], i)
+            # gram_tolerances' bounds, for the noise of the data's top value
+            _, vector_tol = gram_tolerances(spectrum, len(i))
+            live = spectrum**2 > spectrum[0] ** 2 * max(len(i), n_voxels) * EPS
+            scaled = vector_tol * (top / spectrum[0]) ** 2
+            err = np.where(live, np.minimum(scaled, 2.0), 0.0)
+            d2 += (err[: orders[s]] ** 2).sum()
+            kept = spectrum[: orders[s]][live[: orders[s]]]
+            tops.append(top)
+            smallest.append(kept[-1] if kept.size else np.inf)
+        cross2 = sum(
+            2 * (10 * max(len(idx[a]), len(idx[c])) * EPS * tops[a] * tops[c]
+                 / (smallest[a] * smallest[c])) ** 2
+            for a in range(len(idx)) for c in range(a + 1, len(idx))
+        )
+        m = maxima[b]
+        bounds[b] = (np.sqrt(d2) + (d2 + np.sqrt(cross2)) / (2 * m)
+                     + 10 * sum(orders) * EPS * m / 2)
+    return bounds
+
+
 def reference_max_correlations(reductions, n_boot, seed):
     """Noise-bootstrap maxima drawn one stack of resampled residuals at a time."""
     grams = residual_grams(reductions)

@@ -10,6 +10,7 @@ from canica import (
     DataMatrix,
     RowKind,
     SubjectReduction,
+    SubjectSeries,
     bootstrap_max_correlations,
     group_cca,
     nearest_rank_quantile,
@@ -26,6 +27,7 @@ from canica.subject_level import _whiten, n_distinct, resample_frames
 from conftest import (
     compressed_max_correlations,
     gram_tolerances,
+    projected_maxima_tolerances,
     reference_max_correlations,
     reference_maxima_tolerances,
     reference_svd,
@@ -33,14 +35,21 @@ from conftest import (
 
 
 def reduction_from(patterns, residual=None, subject_id="s"):
+    """A reduction whose data is ``residual`` itself: no kept frame directions.
+
+    Its spectrum puts one value per pattern, the residual's largest, ahead
+    of the residual's singular values.
+    """
     patterns = np.asarray(patterns, float)
     if residual is None:
         residual = substream(0, 0xAB).standard_normal((8, patterns.shape[1])) * 0.1
+    tail = np.linalg.svd(residual, compute_uv=False)
     return SubjectReduction(
         subject_id=subject_id,
         whitened_patterns=DataMatrix(patterns, RowKind.PATTERNS),
-        noise_residual=DataMatrix(residual, RowKind.FRAMES),
-        singular_values=np.ones(patterns.shape[0]),
+        data=DataMatrix(residual, RowKind.FRAMES),
+        frame_basis=np.zeros((residual.shape[0], 0)),
+        singular_values=np.concatenate([np.full(len(patterns), tail[0]), tail]),
     )
 
 
@@ -227,6 +236,45 @@ class TestNoiseThreshold:
         assert np.array_equal(maxima, compressed_max_correlations(reds, n_boot, 4))
         reference = reference_max_correlations(reds, n_boot, 4)
         bound = reference_maxima_tolerances(reds, reference, 4)
+        assert (np.abs(maxima - reference) <= bound).all()
+
+    @pytest.mark.parametrize("case", [
+        # (subjects, frames, voxels, standardized, orders)
+        (4, 30, 200, True, [5, 3, 6, 4]),
+        (4, 30, 200, False, [5, 5, 5, 5]),
+        (4, 60, 40, True, [6, 6, 6, 6]),
+        (3, 60, 40, False, [6, 4, 6]),
+        # one below the rank: each residual has a single live direction, and
+        # the rest of every map is zeroed by the data's dead level
+        (3, 24, 300, True, [22, 22, 22]),
+        (3, 50, 30, False, [29, 29, 29]),
+    ], ids=["std-f<n", "raw-f<n", "std-f>n", "raw-f>n", "std-rank-1", "raw-f>n-rank-1"])
+    def test_projection_equals_the_residual_products(self, case):
+        n_sub, frames, voxels, standardized, orders = case
+        subjects = simulate_group(n_sub, frames, voxels, 3, 0.3, 0.3, 0.05,
+                                  seed=frames + voxels).dataset.subjects
+        if standardized:
+            subjects = [standardize(s) for s in subjects]
+        reds = [svd_reduce(s, n) for s, n in zip(subjects, orders)]
+        assert [r.selected_order for r in reds] == orders
+        maxima = bootstrap_max_correlations(reds, n_boot=30, seed=7)
+        reference = reference_max_correlations(reds, 30, 7)
+        bound = projected_maxima_tolerances(reds, reference, 7)
+        assert (np.abs(maxima - reference) <= bound).all()
+
+    def test_low_rank_residual_keeps_its_dead_directions_dead(self):
+        # a rank-2 residual, 1% of rank-5 data, whitened to order 5: the
+        # projection's rounding of the data Gram must not become live noise
+        reds = []
+        for s in range(3):
+            rng = substream(11, 0xB1, s)
+            signal = rng.standard_normal((30, 5)) @ rng.standard_normal((5, 300))
+            noise = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 300))
+            y = DataMatrix(signal + 0.01 * noise, RowKind.FRAMES)
+            reds.append(svd_reduce(SubjectSeries(f"s{s}", y), 5))
+        maxima = bootstrap_max_correlations(reds, n_boot=30, seed=3)
+        reference = reference_max_correlations(reds, 30, 3)
+        bound = projected_maxima_tolerances(reds, reference, 3)
         assert (np.abs(maxima - reference) <= bound).all()
 
     def test_unequal_subjects_include_rank_deficient_resamples(self):

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -189,29 +188,6 @@ class TestFitGroup:
         config = PipelineConfig(fixed_order=30, cca_n_boot=20, seed=10)
         result = fit_group(data.dataset, config)
         assert result.selected_orders == (23, 23, 23, 23)
-
-    def test_standardized_series_are_released_before_the_noise_threshold(
-        self, monkeypatch
-    ):
-        standardize, noise_threshold = pipeline.standardize, pipeline.noise_threshold
-        standardized, alive = [], []
-
-        def tracked_standardize(series):
-            out = standardize(series)
-            standardized.extend([weakref.ref(out), weakref.ref(out.data.values)])
-            return out
-
-        def checked_noise_threshold(*args, **kwargs):
-            alive.extend(ref() is not None for ref in standardized)
-            return noise_threshold(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "standardize", tracked_standardize)
-        monkeypatch.setattr(pipeline, "noise_threshold", checked_noise_threshold)
-        data = simulate_group(4, 30, 100, 1, 0.3, 0.3, 0.05, seed=3)
-        result = fit_group(data.dataset, PipelineConfig(fixed_order=2, cca_n_boot=20,
-                                                        seed=3))
-        assert result.subject_ids == tuple(s.subject_id for s in data.dataset.subjects)
-        assert alive == [False] * 8
 
     def test_full_rank_reduction_leaves_no_noise_to_calibrate(self):
         # order 30 keeps all 23 directions; the residual is rounding (~1e-13)

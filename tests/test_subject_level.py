@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -140,6 +142,18 @@ class TestSvdReduce:
         assert (np.abs(red.singular_values - s) <= value_tol).all()
         assert np.abs(p @ p.T - np.eye(f - 1)).max() < 1e-8
         assert np.abs(red.noise_residual.values @ p.T).max() < 1e-8
+
+    def test_reduction_holds_the_series_and_no_voxel_wide_copy(self):
+        f, n = 40, 5000
+        series = series_of(substream(6, 0xF00D).standard_normal((f, n)))
+        tracemalloc.start()
+        try:
+            red = svd_reduce(series, order=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < f * n * 8
+        assert red.data.values is series.data.values
 
     @pytest.mark.parametrize("order", [0, 11])
     def test_order_bounds(self, order):
@@ -330,3 +344,24 @@ class TestDistinctFrames:
             tol = (vector_tol[:order] * np.sqrt(norm)
                    + 10 * n_frames * EPS * np.linalg.norm(m, axis=0) * norm)
             assert (np.abs(sign * got - want).max(axis=1) <= tol).all()
+
+
+def rank_rule_cases():
+    """Reductions of f < n and f > n data, raw and standardized, up to the rank."""
+    for f, n in [(16, 50), (24, 300), (50, 16), (40, 24), (20, 20)]:
+        top = min(f, n)
+        for kind in ("raw", "std"):
+            for order in [*range(1, 13), top - 2, top - 1, top]:
+                yield pytest.param(f, n, kind == "std", order, id=f"{f}x{n}-{kind}-{order}")
+
+
+class TestHasNoise:
+    @pytest.mark.parametrize("f, n, standardized, order", rank_rule_cases())
+    def test_rank_rule_agrees_with_the_residual_energy(self, f, n, standardized, order):
+        series = series_of(substream(f * n + order, 0xF00E).standard_normal((f, n)))
+        if standardized:
+            series = standardize(series)
+        red = svd_reduce(series, order)
+        e = red.noise_residual.values
+        level = red.singular_values[0] ** 2 * max(f, n) * EPS
+        assert red.has_noise == (float(np.vdot(e, e)) > level)
