@@ -6,6 +6,12 @@ matrix and measures agreement of the spanned subspaces; ``t`` is the
 normalized sum of matched entry magnitudes after optimal assignment and
 measures map-by-map agreement. Magnitudes are used throughout because the
 component signs are arbitrary.
+
+The optimal assignment is an exact maximum-weight injective matching,
+found by shortest augmenting paths (Kuhn 1955; the rectangular form of
+Crouse, IEEE TAES 2016) in numpy alone. It keeps the tie rule of scipy's
+``linear_sum_assignment``, so the matched pairs written to every split-half
+summary are the ones scipy would pick, and a split-half run loads no scipy.
 """
 
 from dataclasses import dataclass, replace
@@ -67,8 +73,77 @@ def normalize_mask_rows(masks: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, masks / np.sqrt(np.maximum(counts, 1.0)), 0.0)
 
 
+def _assign(weights: np.ndarray) -> list[tuple[int, int]]:
+    """Maximum-weight injective matching of a finite, non-empty matrix.
+
+    Shortest augmenting paths with dual potentials, one row at a time, on
+    the negated weights (Crouse, IEEE TAES 2016); a matrix with more rows
+    than columns is solved transposed. The pairs come in order of the
+    smaller side's index.
+
+    The column scan repeats scipy's ``linear_sum_assignment`` step for
+    step, so equal-weight alternatives resolve as scipy resolves them:
+    unvisited columns start in reverse order, a visited column is
+    swap-removed from that list, and among columns tied at the minimum
+    path cost a free column wins (the last free one scanned, else the
+    first tied one). Ties are common here, because empty thresholded masks
+    give zero rows, and the pairs are part of the written output.
+    """
+    transpose = weights.shape[0] > weights.shape[1]
+    cost = -(weights.T if transpose else weights)
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    col4row = np.full(n_rows, -1)
+    row4col = np.full(n_cols, -1)
+    path = np.full(n_cols, -1)
+    for cur in range(n_rows):
+        shortest = np.full(n_cols, np.inf)
+        seen_rows = np.zeros(n_rows, dtype=bool)
+        seen_cols = np.zeros(n_cols, dtype=bool)
+        remaining = list(range(n_cols - 1, -1, -1))
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            seen_rows[i] = True
+            cols = np.array(remaining)
+            reduced = min_val + cost[i, cols] - u[i] - v[cols]
+            better = reduced < shortest[cols]
+            path[cols[better]] = i
+            shortest[cols[better]] = reduced[better]
+            scanned = shortest[cols]
+            tied = np.flatnonzero(scanned == scanned.min())
+            free = tied[row4col[cols[tied]] < 0]
+            index = free[-1] if free.size else tied[0]
+            j, min_val = cols[index], scanned[index]
+            seen_cols[j] = True
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # the visited rows other than cur, which is not yet assigned
+        earlier = seen_rows & (col4row >= 0)
+        u[cur] += min_val
+        u[earlier] += min_val - shortest[col4row[earlier]]
+        v[seen_cols] -= min_val - shortest[seen_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    pairs = [(int(r), int(c)) for r, c in enumerate(col4row)]
+    return [(c, r) for r, c in pairs] if transpose else pairs
+
+
 def match_components(c: np.ndarray):
     """Optimal injective matching maximizing the sum of |C| entries.
+
+    The matching is exact (``_assign``: shortest augmenting paths,
+    Crouse 2016) and, where several matchings tie for the best sum,
+    picks the one scipy's ``linear_sum_assignment(|C|, maximize=True)``
+    picks. Pairs are ordered by the smaller set's index.
 
     Returns the matching and a copy of C with matched pairs moved onto
     the diagonal (columns reordered when set 1 is the smaller side, rows
@@ -80,12 +155,7 @@ def match_components(c: np.ndarray):
     d1, d2 = c.shape
     if min(d1, d2) == 0:
         return ComponentMatching(pairs=(), matched_sum=0.0), c.copy()
-    # imported here so that only split-half, not every fit, loads scipy
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(np.abs(c), maximize=True)
-    pairs = sorted(zip(rows.tolist(), cols.tolist()),
-                   key=(lambda p: p[0]) if d1 <= d2 else (lambda p: p[1]))
+    pairs = _assign(np.abs(c))
     matched_sum = float(sum(abs(c[i, j]) for i, j in pairs))
     if d1 <= d2:
         order = [j for _, j in pairs]

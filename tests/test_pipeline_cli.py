@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,36 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_split_half_runs_with_scipy_blocked(self, tmp_path):
+        sim, blocked, unblocked = (tmp_path / n for n in ("sim", "blocked", "unblocked"))
+        run_cli(*self.simulate_args(sim, subjects=6))
+        argv = ["split-half", "--input", str(sim), "--repeats", "2",
+                "--order-boots", "25", "--cca-boots", "25"]
+        assert run_cli(*argv, "--out", str(unblocked)) == 0
+        path = [str(Path(canica.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = textwrap.dedent("""
+            import importlib.abc, json, sys
+
+            class RefuseScipy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name.startswith("scipy"):
+                        raise ImportError(f"{name} is refused")
+                    return None
+
+            sys.meta_path.insert(0, RefuseScipy())
+            from canica.cli import main
+            code = main(sys.argv[1:])
+            print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+        """)
+        out = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(blocked)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
+        outputs = [json.loads((d / "manifest.json").read_text())["outputs"]
+                   for d in (blocked, unblocked)]
+        assert outputs[0] == outputs[1]
 
     def test_simulate_writes_files_and_rerun_identical(self, tmp_path):
         out = tmp_path / "sim"

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from canica import (
     GroupDataset,
@@ -18,6 +22,28 @@ from canica.errors import BadDimension, TooFewSubjects
 from canica.reproducibility import RAW_MODE, THRESHOLDED_MODE, components_of
 from canica.streams import substream
 from conftest import brute_force_match
+
+
+@st.composite
+def weight_matrices(draw):
+    """|C|-like matrices of 1..15 x 1..15, tie-free or tie-heavy.
+
+    Tie-free entries have distinct magnitudes. Tie-heavy ones are rounded
+    to one decimal with whole rows and columns zeroed, as empty thresholded
+    masks give, or all equal.
+    """
+    shape = (draw(st.integers(1, 15)), draw(st.integers(1, 15)))
+    kind = draw(st.sampled_from(["tie-free", "rounded", "all-equal"]))
+    if kind == "all-equal":
+        return np.full(shape, draw(st.sampled_from([0.0, 0.3, -1.0])))
+    if kind == "tie-free":
+        magnitudes = draw(arrays(float, shape, unique=True, elements=st.floats(
+            0.0, 1.0, exclude_min=True, allow_subnormal=False)))
+        return magnitudes * draw(arrays(float, shape, elements=st.sampled_from([-1.0, 1.0])))
+    c = draw(arrays(float, shape, elements=st.sampled_from(np.arange(-10, 11) / 10.0)))
+    c[draw(arrays(bool, shape[0]))] = 0.0
+    c[:, draw(arrays(bool, shape[1]))] = 0.0
+    return c
 
 
 def orthonormal_rows(k, v, seed):
@@ -89,6 +115,20 @@ class TestMatchComponents:
             matching, _ = match_components(c)
             assert np.isclose(matching.matched_sum, brute_force_match(c))
             assert len(matching.pairs) == 3
+
+    @settings(max_examples=400)
+    @given(weight_matrices())
+    @example(np.linspace(0.1, 1.0, 15)[None, :])
+    @example(np.linspace(0.1, 1.0, 15)[:, None])
+    @example(np.zeros((1, 15)))
+    @example(np.zeros((15, 1)))
+    @example(np.full((15, 15), 0.5))
+    def test_pairs_equal_scipy(self, c):
+        rows, cols = linear_sum_assignment(np.abs(c), maximize=True)
+        smaller = 0 if c.shape[0] <= c.shape[1] else 1
+        expected = sorted(zip(rows.tolist(), cols.tolist()), key=lambda p: p[smaller])
+        matching, _ = match_components(c)
+        assert matching.pairs == tuple(expected)
 
     def test_at_least_as_good_as_greedy(self):
         for seed in range(10):
