@@ -3,7 +3,8 @@
 Pipeline stages: per-subject whitening from an eigendecomposition of the
 frame Gram with bootstrap order selection, group-reproducible subspace from
 the same eigendecomposition of the concatenated whitened patterns' Gram
-with a noise-bootstrap significance threshold, FastICA source separation,
+(built from the subjects' frame cross-Grams) with a noise-bootstrap
+significance threshold, FastICA source separation,
 and empirical-null voxel thresholding. One rank rule (eigenvalue at most
 lambda_max * max(frames, voxels) * eps is dead) governs every
 decomposition. A generative-model simulator and split-half reproducibility
@@ -25,6 +26,7 @@ from .group_level import (
     GroupDecomposition,
     GroupSubspace,
     bootstrap_max_correlations,
+    cross_grams,
     group_cca,
     noise_threshold,
     select_group_subspace,
@@ -92,6 +94,7 @@ __all__ = [
     "nearest_rank_quantile",
     "GroupDecomposition",
     "GroupSubspace",
+    "cross_grams",
     "group_cca",
     "bootstrap_max_correlations",
     "noise_threshold",

@@ -1,7 +1,7 @@
 """Thread counts: the worker pools' cap, and a one-thread hold for OpenBLAS.
 
 ``worker_count`` sizes the thread pools that fan out independent work (the
-subjects of a fit, the residual cross-Grams and the chunks of noise-bootstrap
+subjects of a fit, the frame cross-Grams and the chunks of noise-bootstrap
 draws), capped by ``CANICA_THREADS``.
 
 ``limit()`` holds the OpenBLAS library shipped inside the numpy wheel to one

@@ -2,15 +2,19 @@
 
 This module owns the run configuration and the ``fit_group`` orchestration
 used both by the command line and by the split-half harness. Per-subject
-work fans out over a thread pool, and so do the noise threshold's residual
-cross-Grams and chunks of batched bootstrap draws; results are keyed by
-subject index or draw, and all randomness is derived from the configured
-seed, so output is identical regardless of worker count. ``CANICA_THREADS``
-caps the pools. The whole fit runs with numpy's bundled OpenBLAS held to one
-thread (``_blas.limit``), so no product's last bits depend on the BLAS thread
-count. The reductions hold the standardized series themselves, not copies:
-the noise bootstrap reads each residual as the series' frame cross-Grams,
-projected off the kept patterns' frame directions.
+work fans out over a thread pool. The same pool then computes the table of
+the series' frame cross-Grams, one product per subject pair, which the group
+CCA and the noise threshold both read; the threshold's chunks of batched
+bootstrap draws fan out too. Results are keyed by subject index, pair or
+draw, and all randomness is derived from the configured seed, so output is
+identical regardless of worker count. ``CANICA_THREADS`` caps the pools. The
+whole fit runs with numpy's bundled OpenBLAS held to one thread
+(``_blas.limit``), so no product's last bits depend on the BLAS thread
+count. The reductions hold the standardized series themselves, not copies,
+and nothing stacks their patterns: the group CCA whitens the cross-Grams and
+forms only the retained group patterns, and the noise bootstrap reads each
+residual as the cross-Grams projected off the kept patterns' frame
+directions.
 """
 
 import dataclasses
@@ -29,6 +33,7 @@ from .data_model import GroupDataset, standardize
 from .errors import BadDimension, ConfigError, EmptyNoise
 from .group_level import (
     GroupSubspace,
+    cross_grams,
     group_cca,
     noise_threshold,
     select_group_subspace,
@@ -254,10 +259,11 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
 
     with ThreadPoolExecutor(max_workers=_blas.worker_count(len(subjects))) as pool:
         staged = list(pool.map(subject_stage, range(len(subjects))))
+        reductions = [s[2] for s in staged if s[2] is not None]
+        grams = cross_grams(reductions, pool.map) if len(reductions) >= 2 else None
     subject_ids = tuple(s.subject_id for s in subjects)
     orders = tuple(s[0] for s in staged)
     curves = tuple(s[1] for s in staged)
-    reductions = tuple(s[2] for s in staged if s[2] is not None)
 
     base = FitResult(
         subject_ids=subject_ids,
@@ -269,13 +275,14 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
         base.message = NO_SUBSPACE_MESSAGE
         return base
 
-    decomposition = group_cca(list(reductions))
+    decomposition = group_cca(reductions, grams)
     try:
         threshold = noise_threshold(
-            list(reductions),
+            reductions,
             n_boot=config.cca_n_boot,
             alpha=config.cca_alpha,
             seed=streams.derive_seed(config.seed, streams.PIPELINE_CCA_SEED),
+            grams=grams,
         )
     except EmptyNoise as exc:
         base.message = f"{NO_SUBSPACE_MESSAGE}: {exc}"

@@ -5,6 +5,8 @@ of a small Gram matrix under one rank rule. A subject's frame Gram
 G = Y Y^T = V diag(lambda) V^T gives the whitening map W = V/sqrt(lambda)
 and orthonormal patterns W^T Y (its leading right singular vectors); the
 rest of Y, (I - V V^T) Y over the kept columns of V, is the noise residual.
+A reduction stores neither voxel-wide product: the group level reads both
+through frame cross-Grams, and forms only the group patterns it keeps.
 A direction with lambda <= lambda_max * max(frames, voxels) * eps is dead
 (a zero column of W), so an order above the numerical rank keeps the rank,
 and a subject has noise only while its first discarded direction is live.
@@ -54,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import streams
-from .data_model import DataMatrix, RowKind, SubjectSeries
+from .data_model import DataMatrix, SubjectSeries
 from .errors import BadDimension, NumericalFailure
 
 DEFAULT_N_BOOT = 100
@@ -82,31 +84,29 @@ class OrderSelectionCurve:
 
 @dataclass(frozen=True)
 class SubjectReduction:
-    """Whitened retained patterns, with the data and frame directions behind them.
+    """A series' retained frame directions, with the data behind them.
 
-    The noise residual (I - V V^T) Y is not stored: the noise bootstrap
-    reads it only through frame cross-Grams.
+    Neither the whitened patterns W^T Y nor the noise residual (I - V V^T) Y
+    is stored: the group level reads both through frame cross-Grams.
     """
 
     subject_id: str
-    whitened_patterns: DataMatrix  # n x n_voxels, orthonormal rows
     data: DataMatrix  # n_frames x n_voxels, the reduced series' own matrix
-    frame_basis: np.ndarray  # n_frames x n, orthonormal columns V
+    frame_basis: np.ndarray  # n_frames x n, orthonormal columns V, signed by the patterns
     singular_values: np.ndarray  # full spectrum, nonincreasing
 
     @property
     def selected_order(self) -> int:
-        return self.whitened_patterns.rows
+        return self.frame_basis.shape[1]
 
     @property
     def n_voxels(self) -> int:
-        return self.whitened_patterns.cols
+        return self.data.cols
 
     @property
-    def noise_residual(self) -> DataMatrix:
-        """The discarded part of the data, (I - V V^T) Y, built on each call."""
-        y, v = self.data.values, self.frame_basis
-        return DataMatrix(y - v @ (v.T @ y), RowKind.FRAMES)
+    def whitening_map(self) -> np.ndarray:
+        """W = V / s over the kept directions: the whitened patterns are W^T Y."""
+        return self.frame_basis / self.singular_values[: self.selected_order]
 
     @property
     def has_noise(self) -> bool:
@@ -222,36 +222,36 @@ def whiten_distinct(
     return frames, counts, root[:, :, None] * maps
 
 
-def _thin_svd(x: np.ndarray, order: int):
-    """Top ``min(order, rank)`` singular triplets of a short, wide matrix.
+def sign_rows(rows: np.ndarray, columns: np.ndarray) -> None:
+    """Flip, in place, each row whose largest-magnitude entry is negative.
 
-    Left vectors, full spectrum, and right vectors as rows whose
-    largest-magnitude entry is positive.
+    Column i of ``columns`` is flipped with row i.
     """
-    s, rank, w = _whiten(x @ x.T, order, max(x.shape))
-    w = w[:, : min(order, rank)]
-    rows = w.T @ x
     # row by row, so no voxel-wide |rows| temporary is made
     peaks = [np.argmax(np.abs(row)) for row in rows]
     flip = rows[np.arange(rows.shape[0]), peaks] < 0
     rows[flip] *= -1.0
-    w[:, flip] *= -1.0
-    return w * s[: rows.shape[0]], s, rows
+    columns[:, flip] *= -1.0
 
 
 def svd_reduce(series: SubjectSeries, order: int) -> SubjectReduction:
-    """Keep a series' top ``min(order, rank)`` patterns and their frame directions."""
+    """Keep a series' top ``min(order, rank)`` frame directions.
+
+    The directions are signed so that each whitened pattern's largest-magnitude
+    entry is positive (``sign_rows``); the patterns are formed only for that.
+    """
     y = series.data.values
     if not 1 <= order <= min(y.shape):
         raise BadDimension(
             f"order must be in [1, {min(y.shape)}], got {order}"
         )
-    u, s, patterns = _thin_svd(y, order)
+    s, rank, w = _whiten(y @ y.T, order, max(y.shape))
+    w = w[:, : min(order, rank)]
+    sign_rows(w.T @ y, w)
     return SubjectReduction(
         subject_id=series.subject_id,
-        whitened_patterns=DataMatrix(patterns, RowKind.PATTERNS),
         data=series.data,
-        frame_basis=u,
+        frame_basis=w * s[: w.shape[1]],
         singular_values=s,
     )
 

@@ -33,6 +33,14 @@ def white_mixture(k, n_voxels, sparsity, seed):
     return rotation @ ortho, rotation, ortho, sources
 
 
+def fit_bytes(result) -> list:
+    """The threshold and the group-level arrays of a fit, as bytes."""
+    subspace, ica = result.subspace, result.ica
+    arrays = [result.correlations_full, subspace.group_patterns.values,
+              subspace.loadings, ica.components.values, ica.mixing]
+    return [repr(result.threshold)] + [a.tobytes() for a in arrays]
+
+
 def brute_force_match(c):
     """Exhaustive best injective |C| matching, for d <= 7 oracles."""
     import itertools
@@ -151,12 +159,12 @@ def distinct_frames(idx, width):
     return frames[:width], counts[frames[:width]]
 
 
-def compressed_map(gram, idx, width, order, n_voxels):
+def compressed_map(gram, idx, width, order, n_voxels, data_top=0.0):
     """One resample's whitening on its distinct frames, scaled back by D^1/2."""
     frames, counts = distinct_frames(idx, width)
     root = np.sqrt(counts)
     compressed = root[:, None] * gram[np.ix_(frames, frames)] * root[None, :]
-    _, _, w = _whiten(compressed, order, max(len(idx), n_voxels))
+    _, _, w = _whiten(compressed, order, max(len(idx), n_voxels), data_top)
     return frames, root[:, None] * w
 
 
@@ -175,8 +183,19 @@ def compressed_bootstrap_gains(gram, ref_map, n_voxels, n_boot, seed, purpose):
     return gains
 
 
+def whitened_patterns(reduction):
+    """A reduction's orthonormal patterns (V/s)^T Y, formed for comparison."""
+    return reduction.whitening_map.T @ reduction.data.values
+
+
+def noise_residual(reduction):
+    """The discarded part of a reduction's data, (I - V V^T) Y."""
+    y, v = reduction.data.values, reduction.frame_basis
+    return y - v @ (v.T @ y)
+
+
 def residual_grams(reductions):
-    residuals = [r.noise_residual.values for r in reductions]
+    residuals = [noise_residual(r) for r in reductions]
     return {
         (a, b): residuals[a] @ residuals[b].T
         for a in range(len(residuals))
@@ -184,9 +203,25 @@ def residual_grams(reductions):
     }
 
 
+def projected_grams(reductions):
+    """Residual Grams projected from the data's cross-Grams, as the bootstrap does.
+
+    The same products in the same order, so they carry the bootstrap's bits.
+    """
+    data = [r.data.values for r in reductions]
+    bases = [r.frame_basis for r in reductions]
+    grams = {}
+    for a in range(len(data)):
+        for b in range(a, len(data)):
+            gram = data[a] @ data[b].T
+            gram = gram - bases[a] @ (bases[a].T @ gram)
+            grams[a, b] = gram - (gram @ bases[b]) @ bases[b].T
+    return grams
+
+
 def noise_resamples(reductions, n_boot, seed):
     """Each draw's frame indices, one array per subject."""
-    frames = [r.noise_residual.rows for r in reductions]
+    frames = [r.data.rows for r in reductions]
     draws = []
     for draw in range(n_boot):
         rng = substream(seed, CCA_NOISE_BOOT, draw)
@@ -213,10 +248,11 @@ def compressed_max_correlations(reductions, n_boot, seed):
     """Noise-bootstrap maxima drawn one distinct-frame stack at a time.
 
     Each subject's width is its largest distinct count over all draws, or
-    its order if that is larger.
+    its order if that is larger. The residual Grams are projected from the
+    data's, so each whitening takes the data's dead level.
     """
-    grams = residual_grams(reductions)
-    orders = [r.whitened_patterns.rows for r in reductions]
+    grams = projected_grams(reductions)
+    orders = [r.selected_order for r in reductions]
     n_voxels = reductions[0].n_voxels
     draws = noise_resamples(reductions, n_boot, seed)
     widths = [
@@ -226,7 +262,8 @@ def compressed_max_correlations(reductions, n_boot, seed):
     maxima = np.empty(n_boot)
     for b, idx in enumerate(draws):
         kept, maps = zip(*(
-            compressed_map(grams[s, s], idx[s], widths[s], orders[s], n_voxels)
+            compressed_map(grams[s, s], idx[s], widths[s], orders[s], n_voxels,
+                           reductions[s].singular_values[0] ** 2)
             for s in range(len(reductions))
         ))
         maxima[b] = stack_maximum(grams, maps, kept, orders)
@@ -242,7 +279,7 @@ def reference_maxima_tolerances(reductions, maxima, seed):
     rounding, 10 * rows * eps * m^2, over 2m.
     """
     grams = residual_grams(reductions)
-    orders = [r.whitened_patterns.rows for r in reductions]
+    orders = [r.selected_order for r in reductions]
     n_voxels = reductions[0].n_voxels
     bounds = np.empty(len(maxima))
     for b, idx in enumerate(noise_resamples(reductions, len(maxima), seed)):
@@ -272,7 +309,7 @@ def projected_maxima_tolerances(reductions, maxima, seed):
     own rounding.
     """
     grams = residual_grams(reductions)
-    orders = [r.whitened_patterns.rows for r in reductions]
+    orders = [r.selected_order for r in reductions]
     n_voxels = reductions[0].n_voxels
     data = [r.data.values for r in reductions]
     bounds = np.empty(len(maxima))
@@ -304,7 +341,7 @@ def projected_maxima_tolerances(reductions, maxima, seed):
 def reference_max_correlations(reductions, n_boot, seed):
     """Noise-bootstrap maxima drawn one stack of resampled residuals at a time."""
     grams = residual_grams(reductions)
-    orders = [r.whitened_patterns.rows for r in reductions]
+    orders = [r.selected_order for r in reductions]
     n_voxels = reductions[0].n_voxels
     maxima = np.empty(n_boot)
     for b, idx in enumerate(noise_resamples(reductions, n_boot, seed)):

@@ -36,7 +36,7 @@ from canica import (
 from canica.cli import main as cli_main
 from canica.reproducibility import RAW_MODE
 from canica.streams import substream
-from conftest import brute_force_match, white_mixture
+from conftest import brute_force_match, noise_residual, white_mixture, whitened_patterns
 
 PASS = "[PASS] criterion {n}: {text}"
 
@@ -89,8 +89,8 @@ def test_criterion_01_whitening_invariants():
 
 def _check_reduction(series, order):
     red = svd_reduce(series, order)
-    p = red.whitened_patterns.values
-    e = red.noise_residual.values
+    p = whitened_patterns(red)
+    e = noise_residual(red)
     y = series.data.values
     assert np.abs(p @ p.T - np.eye(order)).max() < 1e-8
     assert np.abs(e @ p.T).max() < 1e-8
@@ -162,7 +162,7 @@ def test_criterion_04_shared_subspace_recovery():
         k = int((decomposition.correlations > threshold).sum())
         exact += int(k == 10)
         angles = principal_angles_deg(
-            decomposition.pattern_basis[:10],
+            decomposition.leading(10)[0],
             data.truth.group_patterns.values,
         )
         worst_angle = max(worst_angle, angles.max())
@@ -202,7 +202,7 @@ def test_criterion_06_cca_least_squares_optimality():
         data = simulate_group(5, 60, 400, 3, 0.3, 0.2, 0.05, seed=seed)
         reductions = [svd_reduce(s, 5) for s in data.dataset.subjects]
         decomposition = group_cca(reductions)
-        stacked = np.vstack([r.whitened_patterns.values for r in reductions])
+        stacked = np.vstack([whitened_patterns(r) for r in reductions])
         k = 3
         best = np.linalg.norm(stacked) ** 2 - (
             decomposition.correlations[:k] ** 2

@@ -5,6 +5,7 @@ import pytest
 from canica import _blas, pipeline
 from canica.pipeline import PipelineConfig, fit_group
 from canica.simulate import simulate_group
+from conftest import fit_bytes
 
 OPENBLAS = _blas._openblas()
 needs_openblas = pytest.mark.skipif(
@@ -21,14 +22,6 @@ def three_threads():
         yield
     finally:
         OPENBLAS.set(before)
-
-
-def fit_bytes(result) -> list:
-    """The threshold and the group-level arrays of a fit, as bytes."""
-    subspace, ica = result.subspace, result.ica
-    arrays = [result.correlations_full, subspace.group_patterns.values,
-              subspace.loadings, ica.components.values, ica.mixing]
-    return [repr(result.threshold)] + [a.tobytes() for a in arrays]
 
 
 @needs_openblas

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from canica import (
     DataMatrix,
     RowKind,
-    SubjectReduction,
     SubjectSeries,
     bootstrap_max_correlations,
+    cross_grams,
     group_cca,
     nearest_rank_quantile,
     noise_threshold,
@@ -25,32 +26,34 @@ from canica.errors import BadDimension, EmptyGroup, EmptyNoise
 from canica.streams import CCA_NOISE_BOOT, substream
 from canica.subject_level import _whiten, n_distinct, resample_frames
 from conftest import (
+    EPS,
     compressed_max_correlations,
     gram_tolerances,
+    noise_residual,
     projected_maxima_tolerances,
     reference_max_correlations,
     reference_maxima_tolerances,
     reference_svd,
+    whitened_patterns,
 )
 
 
 def reduction_from(patterns, residual=None, subject_id="s"):
-    """A reduction whose data is ``residual`` itself: no kept frame directions.
+    """The reduction of data whose top directions are ``patterns``.
 
-    Its spectrum puts one value per pattern, the residual's largest, ahead
-    of the residual's singular values.
+    The data stacks the patterns, at distinct gains above the residual's top
+    singular value, on ``residual`` with the patterns' span removed. So the
+    whitened patterns are ``patterns`` (signed by the sign rule) and the
+    noise residual is the rest, on frames of its own.
     """
     patterns = np.asarray(patterns, float)
     if residual is None:
         residual = substream(0, 0xAB).standard_normal((8, patterns.shape[1])) * 0.1
-    tail = np.linalg.svd(residual, compute_uv=False)
-    return SubjectReduction(
-        subject_id=subject_id,
-        whitened_patterns=DataMatrix(patterns, RowKind.PATTERNS),
-        data=DataMatrix(residual, RowKind.FRAMES),
-        frame_basis=np.zeros((residual.shape[0], 0)),
-        singular_values=np.concatenate([np.full(len(patterns), tail[0]), tail]),
-    )
+    residual = residual - (residual @ patterns.T) @ patterns
+    gains = (2 * np.linalg.norm(residual, 2) + 1) * np.linspace(2, 1, len(patterns))
+    data = np.vstack([gains[:, None] * patterns, residual])
+    return svd_reduce(SubjectSeries(subject_id, DataMatrix(data, RowKind.FRAMES)),
+                      len(patterns))
 
 
 def random_orthonormal_rows(k, v, seed):
@@ -70,8 +73,40 @@ class TestGroupCca:
         p = random_orthonormal_rows(3, 40, seed=1)
         dec = group_cca([reduction_from(p, subject_id=f"s{i}") for i in range(4)])
         assert dec.correlations.shape == (3,)
-        assert dec.pattern_basis.shape == (3, 40)
+        assert dec.leading(3)[0].shape == (3, 40)
         assert dec.loading_basis.shape == (12, 3)
+
+    @pytest.mark.parametrize("span", [1e2, 1e4, 1e6])
+    def test_ill_conditioned_identical_subjects_stop_at_rank(self, span):
+        # each subject's kept singular values span ``span``, so the stack
+        # Gram's blocks carry the frame Grams' rounding times span^2
+        p = random_orthonormal_rows(3, 40, seed=1)
+        reds = []
+        for i in range(4):
+            mix = np.linalg.qr(substream(i, 0xB2).standard_normal((11, 11)))[0]
+            residual = substream(i, 0xAB).standard_normal((8, 40)) * 0.1 / span
+            residual -= (residual @ p.T) @ p
+            y = mix @ np.vstack([np.geomspace(span, 1, 3)[:, None] * p, residual])
+            reds.append(svd_reduce(SubjectSeries(f"s{i}", DataMatrix(y, RowKind.FRAMES)), 3))
+        dec = group_cca(reds)
+        assert dec.correlations.shape == (3,)
+        # the stack Gram's dead level: 40 voxels, top eigenvalue span^2
+        assert (np.abs(dec.correlations**2 - 4.0) <= 40 * EPS * span**2).all()
+
+    def test_no_voxel_wide_stack_is_made(self):
+        data = simulate_group(6, 12, 20000, 2, 0.05, 0.5, 0.1, seed=23)
+        reds = [svd_reduce(standardize(s), 4) for s in data.dataset.subjects]
+        grams = cross_grams(reds)
+        threshold = noise_threshold(reds, n_boot=20, seed=23, grams=grams)
+        tracemalloc.start()
+        try:
+            subspace = select_group_subspace(group_cca(reds, grams), threshold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert subspace.k >= 1
+        # one copy of the stacked patterns
+        assert peak < sum(r.selected_order for r in reds) * 20000 * 8
 
     def test_matches_lapack_svd_on_full_rank_stack(self):
         reds = [
@@ -79,12 +114,13 @@ class TestGroupCca:
             for s in range(3)
         ]
         dec = group_cca(reds)
-        stacked = np.vstack([r.whitened_patterns.values for r in reds])
+        stacked = np.vstack([whitened_patterns(r) for r in reds])
         u, s, vt = reference_svd(stacked)
         value_tol, vector_tol = gram_tolerances(s, stacked.shape[0])
+        patterns, loadings = dec.leading(len(s))
         assert (np.abs(dec.correlations - s) <= value_tol).all()
-        assert (np.abs(dec.pattern_basis - vt).max(axis=1) <= vector_tol).all()
-        assert (np.abs(dec.loading_basis - u).max(axis=0) <= vector_tol).all()
+        assert (np.abs(patterns - vt).max(axis=1) <= vector_tol).all()
+        assert (np.abs(loadings - u).max(axis=0) <= vector_tol).all()
 
     def test_disjoint_subspaces_stay_at_one(self):
         q = random_orthonormal_rows(6, 60, seed=2)
@@ -101,8 +137,9 @@ class TestGroupCca:
             for s in range(3)
         ]
         dec = group_cca(reds)
-        stacked = np.vstack([r.whitened_patterns.values for r in reds])
-        recon = (dec.loading_basis * dec.correlations) @ dec.pattern_basis
+        stacked = np.vstack([whitened_patterns(r) for r in reds])
+        patterns, loadings = dec.leading(len(dec.correlations))
+        recon = (loadings * dec.correlations) @ patterns
         rel = np.linalg.norm(stacked - recon) / np.linalg.norm(stacked)
         assert rel < 1e-8
 
@@ -128,7 +165,7 @@ class TestGroupCca:
         np.testing.assert_allclose(a.correlations, b.correlations, atol=1e-10)
         k = 5
         angles = np.linalg.svd(
-            a.pattern_basis[:k] @ b.pattern_basis[:k].T, compute_uv=False
+            a.leading(k)[0] @ b.leading(k)[0].T, compute_uv=False
         )
         assert np.abs(angles - 1.0).max() < 1e-8
         # loading blocks are the same rows, permuted block-wise
@@ -200,7 +237,7 @@ class TestNoiseThreshold:
         # standardized 24-frame subjects have rank 23: order 23 leaves rounding
         data = simulate_group(4, 24, 300, 2, 0.3, 0.3, 0.05, seed=10)
         reds = [svd_reduce(standardize(s), 23) for s in data.dataset.subjects]
-        residual = reds[0].noise_residual.values
+        residual = noise_residual(reds[0])
         assert 0.0 < np.linalg.norm(residual) < 1e-9 * reds[0].singular_values[0]
         with pytest.raises(EmptyNoise, match="no noise residual"):
             bootstrap_max_correlations(reds, n_boot=20, seed=10)
@@ -212,7 +249,7 @@ class TestNoiseThreshold:
         assert t1 == t2
 
     def unequal_reductions(self):
-        """Unequal frame counts and orders; 6-frame resamples lose rank."""
+        """Unequal frame counts and orders; resamples of the 6-frame residual lose rank."""
         shapes = [(30, 4), (24, 2), (6, 5), (41, 3)]
         return [
             reduction_from(
@@ -229,7 +266,7 @@ class TestNoiseThreshold:
         reds = self.unequal_reductions()
         if chunk_draws is not None:
             # the widest subject's compressed Gram is the largest operand
-            idx = resample_frames(4, CCA_NOISE_BOOT, n_boot, [30, 24, 6, 41])
+            idx = resample_frames(4, CCA_NOISE_BOOT, n_boot, [r.data.rows for r in reds])
             widest = max(n_distinct(i).max() for i in idx)
             monkeypatch.setattr(subject_level, "CHUNK_BYTES", chunk_draws * 8 * widest**2)
         maxima = bootstrap_max_correlations(reds, n_boot=n_boot, seed=4)
@@ -278,11 +315,12 @@ class TestNoiseThreshold:
         assert (np.abs(maxima - reference) <= bound).all()
 
     def test_unequal_subjects_include_rank_deficient_resamples(self):
-        # the 6-frame subject's resamples mix ranks, so a chunk's stack holds
+        # the 6-frame residual's resamples mix ranks, so a chunk's stack holds
         # matrices with different dead levels and zero map columns
-        e = self.unequal_reductions()[2].noise_residual.values
+        reds = self.unequal_reductions()
+        e = noise_residual(reds[2])
         gram = e @ e.T
-        idx = resample_frames(4, CCA_NOISE_BOOT, 37, [30, 24, 6, 41])[2]
+        idx = resample_frames(4, CCA_NOISE_BOOT, 37, [r.data.rows for r in reds])[2]
         _, ranks, maps = _whiten(gram[idx[:, :, None], idx[:, None, :]], 5, 120)
         assert (ranks < 5).any() and (ranks == 5).any()
         assert (np.abs(maps).sum(axis=1) == 0).any()
@@ -328,9 +366,7 @@ class TestSelectGroupSubspace:
         dec = group_cca(reds)
         sub = select_group_subspace(dec, threshold=10.0)
         assert sub.k == 0
-        stacked_energy = sum(
-            np.linalg.norm(r.whitened_patterns.values) ** 2 for r in reds
-        )
+        stacked_energy = sum(np.linalg.norm(whitened_patterns(r)) ** 2 for r in reds)
         assert np.isclose(sub.residual_ss, stacked_energy)
 
     def test_total_retention(self):
@@ -361,7 +397,7 @@ class TestSelectGroupSubspace:
         data = simulate_group(5, 60, 400, 3, 0.3, 0.2, 0.05, seed=22)
         reds = [svd_reduce(s, 5) for s in data.dataset.subjects]
         dec = group_cca(reds)
-        stacked = np.vstack([r.whitened_patterns.values for r in reds])
+        stacked = np.vstack([whitened_patterns(r) for r in reds])
         k = 3
         best = (
             np.linalg.norm(stacked) ** 2 - (dec.correlations[:k] ** 2).sum()

@@ -33,10 +33,12 @@ from conftest import (
     compressed_bootstrap_gains,
     gram_tolerances,
     live_vector_tolerances,
+    noise_residual,
     reference_bootstrap_gains,
     reference_gain_tolerances,
     reference_svd,
     resample_spectrum,
+    whitened_patterns,
 )
 
 
@@ -60,7 +62,7 @@ class TestSvdReduce:
         u = np.array([1.0, 2.0, 2.0])
         v = np.array([3.0, 0.0, 4.0, 0.0])
         red = svd_reduce(series_of(np.outer(u, v)), order=1)
-        assert np.linalg.norm(red.noise_residual.values) < 1e-10
+        assert np.linalg.norm(noise_residual(red)) < 1e-10
         assert np.isclose(
             red.singular_values[0], np.linalg.norm(u) * np.linalg.norm(v)
         )
@@ -69,7 +71,7 @@ class TestSvdReduce:
         red = svd_reduce(series_of(np.diag([5.0, 4.0, 3.0, 2.0, 1.0])), order=2)
         np.testing.assert_allclose(red.singular_values[:2], [5.0, 4.0])
         assert np.isclose(
-            np.linalg.norm(red.noise_residual.values), np.sqrt(9.0 + 4.0 + 1.0)
+            np.linalg.norm(noise_residual(red)), np.sqrt(9.0 + 4.0 + 1.0)
         )
 
     def test_against_independent_svd_driver(self):
@@ -85,8 +87,8 @@ class TestSvdReduce:
         rng = substream(1, 0xF00D)
         y = rng.standard_normal((80, 500))
         red = svd_reduce(series_of(y), order=20)
-        p = red.whitened_patterns.values
-        e = red.noise_residual.values
+        p = whitened_patterns(red)
+        e = noise_residual(red)
         assert np.abs(p @ p.T - np.eye(20)).max() < 1e-8
         assert np.abs(e @ p.T).max() < 1e-8
         total = np.linalg.norm(y) ** 2
@@ -100,15 +102,15 @@ class TestSvdReduce:
         big = svd_reduce(series_of(y), order=10)
         small = svd_reduce(series_of(y), order=4)
         np.testing.assert_allclose(
-            big.whitened_patterns.values[:4],
-            small.whitened_patterns.values,
+            whitened_patterns(big)[:4],
+            whitened_patterns(small),
             atol=1e-12,
         )
 
     def test_sign_convention(self):
         rng = substream(3, 0xF00D)
         y = rng.standard_normal((30, 90))
-        p = svd_reduce(series_of(y), order=5).whitened_patterns.values
+        p = whitened_patterns(svd_reduce(series_of(y), order=5))
         peaks = np.argmax(np.abs(p), axis=1)
         assert (p[np.arange(5), peaks] > 0).all()
 
@@ -121,10 +123,10 @@ class TestSvdReduce:
         value_tol, vector_tol = gram_tolerances(s, shape[0])
         assert red.selected_order == order
         assert (np.abs(red.singular_values - s) <= value_tol).all()
-        error = np.abs(red.whitened_patterns.values - vt[:order]).max(axis=1)
+        error = np.abs(whitened_patterns(red) - vt[:order]).max(axis=1)
         assert (error <= vector_tol[:order]).all()
         residual = y - (u[:, :order] * s[:order]) @ vt[:order]
-        assert np.abs(red.noise_residual.values - residual).max() <= (
+        assert np.abs(noise_residual(red) - residual).max() <= (
             vector_tol[:order].max() * s[0]
         )
 
@@ -134,14 +136,14 @@ class TestSvdReduce:
         y = substream(5, 0xF00D).standard_normal((f, 300))
         series = standardize(series_of(y))
         red = svd_reduce(series, order=f)
-        p = red.whitened_patterns.values
+        p = whitened_patterns(red)
         assert red.selected_order == f - 1 and p.shape == (f - 1, 300)
         assert red.singular_values.shape == (f,)
         _, s, _ = reference_svd(series.data.values)
         value_tol, _ = gram_tolerances(s, f)
         assert (np.abs(red.singular_values - s) <= value_tol).all()
         assert np.abs(p @ p.T - np.eye(f - 1)).max() < 1e-8
-        assert np.abs(red.noise_residual.values @ p.T).max() < 1e-8
+        assert np.abs(noise_residual(red) @ p.T).max() < 1e-8
 
     def test_reduction_holds_the_series_and_no_voxel_wide_copy(self):
         f, n = 40, 5000
@@ -362,6 +364,6 @@ class TestHasNoise:
         if standardized:
             series = standardize(series)
         red = svd_reduce(series, order)
-        e = red.noise_residual.values
+        e = noise_residual(red)
         level = red.singular_values[0] ** 2 * max(f, n) * EPS
         assert red.has_noise == (float(np.vdot(e, e)) > level)
