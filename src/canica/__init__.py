@@ -16,6 +16,7 @@ from .data_model import (
     DataMatrix,
     GroupDataset,
     RowKind,
+    StandardizedSeries,
     SubjectSeries,
     read_csv_matrix,
     read_matrix,
@@ -75,6 +76,7 @@ __all__ = [
     "DataMatrix",
     "RowKind",
     "SubjectSeries",
+    "StandardizedSeries",
     "GroupDataset",
     "standardize",
     "read_matrix",

@@ -15,19 +15,21 @@ failure.
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import _blas
+from . import _blas, pipeline
 from .data_model import (
     MAX_ELEMENTS,
     DataMatrix,
     GroupDataset,
     RowKind,
     SubjectSeries,
+    cnic_bytes,
     read_matrix,
     write_matrix,
 )
@@ -53,33 +55,46 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _cnic_sha256(matrix: DataMatrix) -> str:
+    """Hex SHA-256 of the CNIC1 file ``matrix`` was read from, from memory.
+
+    ``read_matrix`` checks the magic, the version and the exact file size,
+    so the re-encoded header and the payload are the file's bytes.
+    """
+    header, payload = cnic_bytes(matrix)
+    digest = hashlib.sha256(header)
+    digest.update(payload)
+    return digest.hexdigest()
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _column_text(column) -> list[str]:
-    """Cells of one column: integers and booleans as ``str``, floats as .17g."""
-    values = np.asarray(column)
-    text = str if values.dtype.kind in "biu" else "{:.17g}".format
-    return list(map(text, values.tolist()))
+def _conversion(column: np.ndarray) -> str:
+    """A column's ``%`` conversion: booleans as ``str``, integers, floats as .17g."""
+    kind = column.dtype.kind
+    return "%s" if kind == "b" else "%d" if kind in "iu" else "%.17g"
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns as a CSV table under ``header``.
 
     .17g prints every double so that it reads back bit for bit. The rows are
-    formatted and written CSV_BLOCK_ROWS at a time, so a voxel-wide table is
-    never held as text.
+    formatted CSV_BLOCK_ROWS at a time, each block by one ``%`` on its cells,
+    so a voxel-wide table is never held as text.
     """
     columns = [np.asarray(c) for c in columns]
     n_rows = min(map(len, columns), default=0)
+    line = ",".join(map(_conversion, columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = [_column_text(c[start : start + CSV_BLOCK_ROWS]) for c in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*block))
+            block = zip(*(c[start : start + CSV_BLOCK_ROWS].tolist() for c in columns))
+            rows = min(CSV_BLOCK_ROWS, n_rows - start)
+            fh.write(line * rows % tuple(itertools.chain.from_iterable(block)))
 
 
 class _Outputs:
@@ -147,6 +162,12 @@ def _run_config(args) -> PipelineConfig:
 
 
 def _load_subjects(input_dir: str | None) -> tuple[GroupDataset, dict[str, str]]:
+    """Read, digest and standardize each subject file, in name order.
+
+    Each file is read once: its digest comes from the bytes already read,
+    and its raw matrix is dropped once standardized, so one copy of each
+    subject is held. ``fit_group`` passes standardized series through.
+    """
     if not input_dir:
         raise ConfigError("an input directory is required (--input)")
     root = Path(input_dir)
@@ -160,8 +181,9 @@ def _load_subjects(input_dir: str | None) -> tuple[GroupDataset, dict[str, str]]
         matrix = read_matrix(path)
         if matrix.row_kind != RowKind.FRAMES:
             raise BadDimension(f"{path}: subject files must contain frame rows")
-        subjects.append(SubjectSeries(subject_id=path.stem, data=matrix))
-        digests[path.name] = _sha256(path)
+        digests[path.name] = _cnic_sha256(matrix)
+        # through the module global, so a tracer that wraps it times it
+        subjects.append(pipeline.standardize(SubjectSeries(path.stem, matrix)))
     return GroupDataset(tuple(subjects)), digests
 
 
@@ -374,7 +396,7 @@ def cmd_threshold(args) -> int:
     summaries = _write_components(outputs, matrix.values, maps)
     outputs.manifest(
         command="threshold",
-        inputs={components_path.name: _sha256(components_path)},
+        inputs={components_path.name: _cnic_sha256(matrix)},
         p_two_sided=p,
         components=summaries,
     )

@@ -15,6 +15,10 @@ CNIC1 format, little-endian throughout::
     then rows*cols IEEE-754 f64 values, row-major
 
 A write/read round trip is bit-exact.
+
+``standardize`` returns a ``StandardizedSeries``, and returns such a series
+as it is, so a caller that standardizes each subject as it loads it holds one
+copy, and the fit that standardizes again copies nothing.
 """
 
 import enum
@@ -130,35 +134,51 @@ class GroupDataset:
         return self.subjects[0].n_voxels
 
 
-def standardize(series: SubjectSeries) -> SubjectSeries:
+@dataclass(frozen=True)
+class StandardizedSeries(SubjectSeries):
+    """A subject series whose voxels ``standardize`` has already scaled."""
+
+
+def standardize(series: SubjectSeries) -> StandardizedSeries:
     """Center every voxel and scale it to unit sample variance.
 
     Columns with no variation are left at zero so voxel indexing stays
-    stable across subjects. Sample variance
-    uses the n-1 denominator. Idempotent to within rounding.
+    stable across subjects. Sample variance uses the n-1 denominator. A
+    ``StandardizedSeries`` is returned as it is, not copied; standardizing
+    its values again as a plain series moves them only by rounding.
     """
+    if isinstance(series, StandardizedSeries):
+        return series
     x = series.data.values
     if x.shape[0] == 0 or x.shape[1] == 0:
         raise EmptyMatrix("cannot standardize an empty matrix")
-    centered = x - x.mean(axis=0)
+    out = x - x.mean(axis=0)
     flat = np.ptp(x, axis=0) == 0.0
-    std = centered.std(axis=0, ddof=1)
+    std = out.std(axis=0, ddof=1)
     std[flat] = 1.0
-    out = centered / std
+    out /= std
     out[:, flat] = 0.0
-    return SubjectSeries(series.subject_id, DataMatrix(out, RowKind.FRAMES))
+    return StandardizedSeries(series.subject_id, DataMatrix(out, RowKind.FRAMES))
+
+
+def cnic_bytes(matrix: DataMatrix) -> tuple[bytes, memoryview]:
+    """The CNIC1 file of ``matrix`` as its header and a buffer of its payload.
+
+    On a little-endian machine the payload buffer is the matrix's own memory.
+    """
+    header = MAGIC + bytes([VERSION]) + _HEADER.pack(
+        matrix.rows, matrix.cols, int(matrix.row_kind))
+    return header, memoryview(matrix.values.astype("<f8", copy=False))
 
 
 def write_matrix(matrix: DataMatrix, path) -> None:
     """Write a matrix in CNIC1 format."""
     if matrix.rows == 0 or matrix.cols == 0:
         raise EmptyMatrix("refusing to write a matrix with no rows or columns")
-    payload = matrix.values.astype("<f8", copy=False)
+    header, payload = cnic_bytes(matrix)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([VERSION]))
-        fh.write(_HEADER.pack(matrix.rows, matrix.cols, int(matrix.row_kind)))
-        fh.write(payload.tobytes())
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_matrix(path) -> DataMatrix:

@@ -10,11 +10,14 @@ draw, and all randomness is derived from the configured seed, so output is
 identical regardless of worker count. ``CANICA_THREADS`` caps the pools. The
 whole fit runs with numpy's bundled OpenBLAS held to one thread
 (``_blas.limit``), so no product's last bits depend on the BLAS thread
-count. The reductions hold the standardized series themselves, not copies,
-and nothing stacks their patterns: the group CCA whitens the cross-Grams and
-forms only the retained group patterns, and the noise bootstrap reads each
-residual as the cross-Grams projected off the kept patterns' frame
-directions.
+count. ``fit_group`` standardizes every subject, but a series that is
+already standardized passes through uncopied: the command line standardizes
+each subject as it loads it, so a fit, each split half and every repeat read
+those series. The reductions hold the standardized series themselves, not
+copies, and nothing stacks their patterns: the group CCA whitens the
+cross-Grams and forms only the retained group patterns, and the noise
+bootstrap reads each residual as the cross-Grams projected off the kept
+patterns' frame directions.
 """
 
 import dataclasses

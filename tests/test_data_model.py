@@ -9,6 +9,7 @@ from canica import (
     DataMatrix,
     GroupDataset,
     RowKind,
+    StandardizedSeries,
     SubjectSeries,
     read_csv_matrix,
     read_matrix,
@@ -110,6 +111,18 @@ class TestStandardize:
     def test_shape_preserved(self):
         out = standardize(series_from(np.arange(12.0).reshape(4, 3)))
         assert out.data.values.shape == (4, 3)
+
+    def test_a_standardized_series_is_returned_as_it_is(self):
+        once = standardize(series_from(np.random.default_rng(8).normal(size=(40, 30))))
+        assert isinstance(once, StandardizedSeries)
+        assert standardize(once) is once
+
+    def test_restandardizing_the_values_moves_them_only_by_rounding(self):
+        rng = np.random.default_rng(8)
+        once = standardize(series_from(rng.normal(3.0, 2.5, size=(40, 30))))
+        twice = standardize(SubjectSeries(once.subject_id, once.data))
+        assert twice is not once
+        np.testing.assert_allclose(twice.data.values, once.data.values, rtol=0, atol=1e-12)
 
 
 class TestBinaryFormat:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,14 @@ from hypothesis.extra.numpy import arrays
 import canica
 from canica import (
     DataMatrix,
+    GroupDataset,
     PipelineConfig,
     RowKind,
     fit_group,
     read_matrix,
     simulate_group,
+    split_half,
+    standardize,
     write_matrix,
 )
 from canica import pipeline
@@ -229,6 +233,18 @@ class TestFitGroup:
         assert serial.k >= 1
         assert fit_bytes(serial) == fit_bytes(threaded)
 
+    def test_a_standardized_dataset_fits_as_the_raw_one(self):
+        data = simulate_group(6, 40, 400, 2, 0.2, 0.3, 0.05, seed=11)
+        raw = data.dataset
+        standardized = GroupDataset(tuple(map(standardize, raw.subjects)))
+        config = PipelineConfig(fixed_order=4, cca_n_boot=20, seed=11)
+        fits = [fit_group(d, config) for d in (raw, standardized)]
+        assert fits[0].k >= 1
+        assert fit_bytes(fits[0]) == fit_bytes(fits[1])
+        halves = [split_half(d, seed=11, config=config) for d in (raw, standardized)]
+        for side in ("fit_a", "fit_b"):
+            assert fit_bytes(getattr(halves[0], side)) == fit_bytes(getattr(halves[1], side))
+
     def test_bad_thread_env_rejected(self, monkeypatch):
         monkeypatch.setenv("CANICA_THREADS", "many")
         with pytest.raises(ConfigError):
@@ -342,6 +358,45 @@ class TestCli:
         names = {name for out in commands for name in tree_digest(out)}
         assert {"order_curve_subject_000.csv", "scree.csv", "component_000.csv",
                 "repeat_001/summary.json", "truth_patterns.cnic"} <= names
+
+    def test_manifest_input_digests_are_the_file_digests(self, tmp_path):
+        sim, fit, split, thr = (tmp_path / n for n in ("sim", "fit", "split", "thr"))
+        run_cli(*self.simulate_args(sim))
+        # a negative zero must digest as its own bytes, not as 0.0
+        path = sim / "subject_004.cnic"
+        values = read_matrix(path).values.copy()
+        values[::3, ::2] = -0.0
+        write_matrix(DataMatrix(values, RowKind.FRAMES), path)
+        assert run_cli("fit", "--input", str(sim), "--out", str(fit),
+                       "--fixed-order", "4", "--cca-boots", "20") == 0
+        assert run_cli("split-half", "--input", str(sim), "--out", str(split),
+                       "--fixed-order", "4", "--cca-boots", "20") == 0
+        files = {p.name: _sha256(p) for p in sorted(sim.glob("subject_*.cnic"))}
+        for out in (fit, split):
+            assert json.loads((out / "manifest.json").read_text())["inputs"] == files
+        components = fit / "components.cnic"
+        assert run_cli("threshold", "--components", str(components),
+                       "--out", str(thr)) == 0
+        inputs = json.loads((thr / "manifest.json").read_text())["inputs"]
+        assert inputs == {"components.cnic": _sha256(components)}
+
+    def test_fit_holds_one_copy_of_each_subject(self, tmp_path):
+        data = simulate_group(12, 24, 4000, 10, 0.05, 0.5, 0.1, seed=0)
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        for i, subject in enumerate(data.dataset.subjects):
+            write_matrix(subject.data, sim / f"subject_{i:03d}.cnic")
+        copy = sum(s.data.values.nbytes for s in data.dataset.subjects)
+        del data
+        tracemalloc.start()
+        try:
+            assert run_cli("fit", "--input", str(sim), "--out", str(tmp_path / "fit"),
+                           "--fixed-order", "10") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the standardized subjects, and less than half a copy of anything else
+        assert peak < 1.5 * copy
 
     def test_fit_rerun_same_outdir_byte_identical(self, tmp_path):
         sim = tmp_path / "sim"
