@@ -185,7 +185,7 @@ def read_matrix(path) -> DataMatrix:
     """Read a CNIC1 file, validating header and payload.
 
     The payload is read straight into the matrix's own array, so the file is
-    held in memory once.
+    held in memory once, and ``DataMatrix`` checks it for finiteness once.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_SIZE)
@@ -215,9 +215,10 @@ def read_matrix(path) -> DataMatrix:
             f"{path}: expected {expected} bytes for {rows}x{cols}, "
             f"got {_HEADER_SIZE + got}"
         )
-    if not np.isfinite(values).all():
-        raise NonFiniteValue(f"{path}: payload contains non-finite values")
-    return DataMatrix(values, kind)
+    try:
+        return DataMatrix(values, kind)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{path}: {exc}") from None
 
 
 def read_csv_matrix(path, row_kind: RowKind = RowKind.PATTERNS) -> DataMatrix:

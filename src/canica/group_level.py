@@ -20,7 +20,7 @@ noise-calibrated threshold: the bootstrap distribution of the maximum
 singular value obtained by re-whitening frame-resampled copies of each
 subject's noise residual and stacking those instead. The residuals are
 never formed either: their frame cross-Grams are the table's, projected in
-frame space.
+place, so a fit holds one table.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -189,8 +189,9 @@ def bootstrap_max_correlations(
     cross-Grams G_ab = E_a E_b^T, and the cost per draw is independent of the
     voxel count. With E_a = (I - V_a V_a^T) Y_a, each G_ab is the data's
     cross-Gram Y_a Y_b^T from ``grams`` (the ``cross_grams`` table, computed
-    here if not given), projected in frame space. A subject without noise
-    (``SubjectReduction.has_noise``) raises ``EmptyNoise``.
+    here if not given), projected in place. So the table is overwritten with
+    the residual cross-Grams; pass one you no longer need. A subject without
+    noise (``SubjectReduction.has_noise``) raises ``EmptyNoise``.
 
     The draws are batched in chunks: per chunk, one stacked whitening per
     subject, one stacked block product per subject pair and one stacked
@@ -224,21 +225,22 @@ def bootstrap_max_correlations(
     widths = [max(int(n_distinct(i).max()), n) for i, n in zip(idx, orders)]
     maxima = np.empty(n_boot)
 
-    def residual_gram(pair: Pair) -> np.ndarray:
+    def project(pair: Pair) -> None:
         a, b = pair
-        gram = grams[pair] - bases[a] @ (bases[a].T @ grams[pair])
-        return gram - (gram @ bases[b]) @ bases[b].T
+        gram = grams[pair]
+        gram -= bases[a] @ (bases[a].T @ gram)
+        gram -= (gram @ bases[b]) @ bases[b].T
 
     def run_chunk(draws: np.ndarray) -> None:
         kept, _, maps = zip(*(
-            whiten_distinct(residuals[s, s], idx[s][draws], widths[s], orders[s],
+            whiten_distinct(grams[s, s], idx[s][draws], widths[s], orders[s],
                             n_voxels, tops[s])
             for s in range(n_subjects)
         ))
         stack_gram = _stack_gram(
             offsets,
             lambda a, b: (maps[a].transpose(0, 2, 1)
-                          @ resampled(residuals[a, b], kept[a], kept[b]) @ maps[b]),
+                          @ resampled(grams[a, b], kept[a], kept[b]) @ maps[b]),
             (len(draws),),
         )
         top = np.linalg.eigvalsh(stack_gram)[:, -1]
@@ -250,7 +252,7 @@ def bootstrap_max_correlations(
     with _blas.limit(), ThreadPoolExecutor(
         _blas.worker_count(max(len(grams), len(chunks)))
     ) as pool:
-        residuals = dict(zip(grams, pool.map(residual_gram, grams)))
+        list(pool.map(project, grams))
         list(pool.map(run_chunk, chunks))
     return maxima
 
@@ -262,7 +264,11 @@ def noise_threshold(
     seed: int = 0,
     grams: dict[Pair, np.ndarray] | None = None,
 ) -> float:
-    """(1 - alpha) nearest-rank quantile of the bootstrap noise maxima."""
+    """(1 - alpha) nearest-rank quantile of the bootstrap noise maxima.
+
+    Like ``bootstrap_max_correlations``, it overwrites ``grams`` with the
+    residual cross-Grams; pass a table you no longer need.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     maxima = bootstrap_max_correlations(reductions, n_boot=n_boot, seed=seed, grams=grams)

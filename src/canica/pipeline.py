@@ -4,9 +4,9 @@ This module owns the run configuration and the ``fit_group`` orchestration
 used both by the command line and by the split-half harness. Per-subject
 work fans out over a thread pool. The same pool then computes the table of
 the series' frame cross-Grams, one product per subject pair, which the group
-CCA and the noise threshold both read; the threshold's chunks of batched
-bootstrap draws fan out too. Results are keyed by subject index, pair or
-draw, and all randomness is derived from the configured seed, so output is
+CCA reads and the noise threshold then overwrites; the threshold's chunks of
+batched bootstrap draws fan out too. Results are keyed by subject index, pair
+or draw, and all randomness is derived from the configured seed, so output is
 identical regardless of worker count. ``CANICA_THREADS`` caps the pools. The
 whole fit runs with numpy's bundled OpenBLAS held to one thread
 (``_blas.limit``), so no product's last bits depend on the BLAS thread
@@ -16,8 +16,8 @@ each subject as it loads it, so a fit, each split half and every repeat read
 those series. The reductions hold the standardized series themselves, not
 copies, and nothing stacks their patterns: the group CCA whitens the
 cross-Grams and forms only the retained group patterns, and the noise
-bootstrap reads each residual as the cross-Grams projected off the kept
-patterns' frame directions.
+bootstrap reads each residual as the cross-Grams projected in place off the
+kept patterns' frame directions, so a fit holds one table.
 """
 
 import dataclasses

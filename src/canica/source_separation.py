@@ -41,22 +41,29 @@ class IcaDecomposition:
 
 
 def _contrast(name: str):
+    """The contrast's ``g`` and ``objective``; both overwrite their argument.
+
+    ``g(x)`` returns G'(x), written into ``x``, and the row means of G''(x).
+    Working in place keeps FastICA's fixed point at a few k x voxels arrays.
+    """
     if name == "logcosh":
 
         def g(x):
-            gx = np.tanh(x)
-            return gx, (1.0 - gx**2).mean(axis=1)
+            gx = np.tanh(x, out=x)
+            sq = np.square(gx)
+            return gx, np.subtract(1.0, sq, out=sq).mean(axis=1)
 
         def objective(x):
-            return np.log(np.cosh(x)).mean(axis=1) - GAUSSIAN_LOGCOSH
+            return np.log(np.cosh(x, out=x), out=x).mean(axis=1) - GAUSSIAN_LOGCOSH
 
     elif name == "cube":
 
         def g(x):
-            return x**3, 3.0 * (x**2).mean(axis=1)
+            slope = 3.0 * np.square(x).mean(axis=1)
+            return np.power(x, 3, out=x), slope
 
         def objective(x):
-            return 0.25 * (x**4).mean(axis=1) - GAUSSIAN_QUARTIC
+            return 0.25 * np.power(x, 4, out=x).mean(axis=1) - GAUSSIAN_QUARTIC
 
     else:
         raise ValueError(f"unknown nonlinearity {name!r}; use 'logcosh' or 'cube'")
@@ -116,9 +123,9 @@ def fastica(
         converged = False
         n_iter = 0
         for n_iter in range(1, max_iter + 1):
-            sources = w @ x
-            gx, g_mean = g(sources)
+            gx, g_mean = g(w @ x)
             w_new = _sym_decorrelate(gx @ x.T / n_voxels - g_mean[:, None] * w)
+            del gx  # before the next w @ x is allocated
             change = np.max(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0))
             w = w_new
             if change < tol:
@@ -134,7 +141,7 @@ def fastica(
     components = w @ b
     mixing = w.T
     # Present activation tails as positive: flip rows with negative skewness.
-    skew = (components**3).sum(axis=1)
+    skew = np.array([(row**3).sum() for row in components])
     flip = skew < 0
     components[flip] *= -1.0
     mixing[:, flip] *= -1.0

@@ -82,6 +82,13 @@ def reference_svd(x):
     return u, s, vt
 
 
+def gram_noise(top, n_rows):
+    """Rounding of a Gram's entries, n_rows-term dot products of rows whose
+    norms multiply to at most ``top``: s_max^2 for x x^T, s_a s_b for x_a x_b^T.
+    """
+    return 10 * n_rows * EPS * top
+
+
 def gram_tolerances(s, n_rows):
     """Error bounds of a Gram eigendecomposition, from eps and the reference.
 
@@ -91,7 +98,7 @@ def gram_tolerances(s, n_rows):
     neighbours' eigenvalues.
     """
     lam = s**2
-    noise = 10 * n_rows * EPS * lam[0]
+    noise = gram_noise(lam[0], n_rows)
     gaps = np.abs(np.diff(lam))
     gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
     with np.errstate(divide="ignore"):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -207,7 +208,7 @@ class TestBinaryFormat:
         blob = bytearray(path.read_bytes())
         blob[-8:] = np.array([np.nan]).tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match=re.escape(str(path))):
             read_matrix(path)
 
     @settings(max_examples=200)

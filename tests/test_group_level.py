@@ -28,6 +28,7 @@ from canica.subject_level import _whiten, n_distinct, resample_frames
 from conftest import (
     EPS,
     compressed_max_correlations,
+    gram_noise,
     gram_tolerances,
     noise_residual,
     projected_maxima_tolerances,
@@ -97,7 +98,8 @@ class TestGroupCca:
         data = simulate_group(6, 12, 20000, 2, 0.05, 0.5, 0.1, seed=23)
         reds = [svd_reduce(standardize(s), 4) for s in data.dataset.subjects]
         grams = cross_grams(reds)
-        threshold = noise_threshold(reds, n_boot=20, seed=23, grams=grams)
+        threshold = noise_threshold(reds, n_boot=20, seed=23,
+                                    grams={p: g.copy() for p, g in grams.items()})
         tracemalloc.start()
         try:
             subspace = select_group_subspace(group_cca(reds, grams), threshold)
@@ -241,6 +243,31 @@ class TestNoiseThreshold:
         assert 0.0 < np.linalg.norm(residual) < 1e-9 * reds[0].singular_values[0]
         with pytest.raises(EmptyNoise, match="no noise residual"):
             bootstrap_max_correlations(reds, n_boot=20, seed=10)
+
+    def test_threshold_holds_one_table(self):
+        reds = self.make_noise_reductions(seed=12, n_sub=6, f=200, v=2000, order=5)
+        table = cross_grams(reds)
+        table_bytes = sum(g.nbytes for g in table.values())
+        tracemalloc.start()
+        try:
+            noise_threshold(reds, n_boot=20, seed=12, grams=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the residual cross-Grams overwrite the table: no second table is made
+        assert peak < 0.6 * table_bytes
+
+    def test_threshold_consumes_the_table(self):
+        reds = self.make_noise_reductions(seed=13, n_sub=6, f=200, v=2000, order=5)
+        table = cross_grams(reds)
+        threshold = noise_threshold(reds, n_boot=20, seed=13, grams=table)
+        assert threshold == noise_threshold(reds, n_boot=20, seed=13)
+        residuals = [noise_residual(r) for r in reds]
+        tops = [r.singular_values[0] for r in reds]
+        for (a, b), gram in table.items():
+            # the projection keeps the data cross-Gram's rounding
+            bound = gram_noise(tops[a] * tops[b], 2000)
+            assert np.abs(gram - residuals[a] @ residuals[b].T).max() <= bound
 
     def test_deterministic(self):
         reds = self.make_noise_reductions(seed=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ class TestFastIca:
     def test_empty_input_rejected(self):
         with pytest.raises(BadDimension):
             fastica(np.zeros((0, 10)), seed=0)
+
+    @pytest.mark.parametrize("nonlinearity", ["logcosh", "cube"])
+    def test_fixed_point_holds_few_voxel_wide_arrays(self, nonlinearity):
+        k, n_voxels = 10, 40000
+        mixed = DataMatrix(white_mixture(k, n_voxels, 0.05, seed=12)[0], RowKind.PATTERNS)
+        tracemalloc.start()
+        try:
+            fastica(mixed, nonlinearity=nonlinearity, seed=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the scaled patterns, the contrast written over the sources, and its slope
+        assert peak <= 4.5 * k * n_voxels * 8
 
 
 class TestAmariIndex:
