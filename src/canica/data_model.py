@@ -2,8 +2,8 @@
 
 Every stage of the pipeline works on dense ``rows x voxels`` matrices of
 64-bit floats. Voxels are an unordered flat axis; no spatial structure is
-attached. All types are immutable after construction and safe to share
-across threads.
+attached. All types are immutable after construction, apart from the Gram a
+matrix keeps once formed, and safe to share across threads.
 
 CNIC1 format, little-endian throughout::
 
@@ -19,6 +19,11 @@ A write/read round trip is bit-exact.
 ``standardize`` returns a ``StandardizedSeries``, and returns such a series
 as it is, so a caller that standardizes each subject as it loads it holds one
 copy, and the fit that standardizes again copies nothing.
+
+A matrix owns its row Gram ``values @ values.T`` (``DataMatrix.gram``): it is
+formed on first read and kept with the matrix. For a subject series that is
+the frame Gram which order selection, the reduction and the group's
+cross-Gram table all read, so a command forms it once per subject.
 """
 
 import enum
@@ -57,7 +62,7 @@ class DataMatrix:
     """Immutable 2-D float64 matrix with row semantics.
 
     All entries are finite; the array is made C-contiguous and read-only
-    at construction.
+    at construction. The row Gram ``gram`` is formed on first read.
     """
 
     values: np.ndarray
@@ -80,6 +85,24 @@ class DataMatrix:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The read-only row Gram ``values @ values.T``, formed on first read.
+
+        It is kept in the instance, set like ``values`` is: before Python 3.12
+        ``functools.cached_property`` holds one lock for every instance, which
+        would make a pool of subjects form their Grams one at a time. Threads
+        that read a new matrix's Gram together may each form it; the products
+        are one BLAS ``syrk`` on the same operand, so the kept one has the
+        same bits whichever wins. A caller that writes into a Gram copies it.
+        """
+        gram = self.__dict__.get("_gram")
+        if gram is None:
+            gram = self.values @ self.values.T
+            gram.setflags(write=False)
+            object.__setattr__(self, "_gram", gram)
+        return gram
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ block has orthonormal rows, one subject can contribute at most 1 to a
 squared singular value, so values lie in (0, sqrt(S)].
 
 The stack is never formed. A fit computes the data's frame cross-Grams
-Y_a Y_b^T once, as one table keyed by subject pair (``cross_grams``). The
+Y_a Y_b^T once, as one table keyed by subject pair (``cross_grams``), whose
+diagonal blocks copy the Grams the subjects' matrices already hold. The
 stack's pattern Gram has the blocks M_a^T (Y_a Y_b^T) M_b, so its
 eigendecomposition, up to its numerical rank, is the whole CCA. A group
 pattern row is sum_a (M_a u_a)^T Y_a / z for a loading column u with
@@ -99,12 +100,22 @@ class GroupSubspace:
 def cross_grams(reductions: list[SubjectReduction], map_=map) -> dict[Pair, np.ndarray]:
     """The data's frame cross-Grams Y_a Y_b^T, keyed by every index pair a <= b.
 
-    ``map_`` runs the products, a pool's ``map`` to fan them out; each product
-    is one task, so the table does not depend on the pool.
+    Only the a < b products are computed. Block (a, a) is a writable copy of
+    the subject's own Gram (``DataMatrix.gram``), formed once with its matrix,
+    so the noise bootstrap can project the table in place. ``map_`` runs the
+    blocks, a pool's ``map`` to fan them out; each block is one task, so the
+    table does not depend on the pool.
     """
-    data = [r.data.values for r in reductions]
+    data = [r.data for r in reductions]
     pairs = [(a, b) for a in range(len(data)) for b in range(a, len(data))]
-    return dict(zip(pairs, map_(lambda pair: data[pair[0]] @ data[pair[1]].T, pairs)))
+
+    def block(pair: Pair) -> np.ndarray:
+        a, b = pair
+        if a == b:
+            return data[a].gram.copy()
+        return data[a].values @ data[b].values.T
+
+    return dict(zip(pairs, map_(block, pairs)))
 
 
 def _stack_gram(offsets: np.ndarray, block, lead: tuple[int, ...] = ()) -> np.ndarray:

@@ -3,21 +3,25 @@
 This module owns the run configuration and the ``fit_group`` orchestration
 used both by the command line and by the split-half harness. Per-subject
 work fans out over a thread pool. The same pool then computes the table of
-the series' frame cross-Grams, one product per subject pair, which the group
-CCA reads and the noise threshold then overwrites; the threshold's chunks of
-batched bootstrap draws fan out too. Results are keyed by subject index, pair
-or draw, and all randomness is derived from the configured seed, so output is
-identical regardless of worker count. ``CANICA_THREADS`` caps the pools. The
-whole fit runs with numpy's bundled OpenBLAS held to one thread
-(``_blas.limit``), so no product's last bits depend on the BLAS thread
-count. ``fit_group`` standardizes every subject, but a series that is
-already standardized passes through uncopied: the command line standardizes
-each subject as it loads it, so a fit, each split half and every repeat read
-those series. The reductions hold the standardized series themselves, not
-copies, and nothing stacks their patterns: the group CCA whitens the
-cross-Grams and forms only the retained group patterns, and the noise
-bootstrap reads each residual as the cross-Grams projected in place off the
-kept patterns' frame directions, so a fit holds one table.
+the series' frame cross-Grams, one product per pair of distinct subjects,
+which the group CCA reads and the noise threshold then overwrites; the
+threshold's chunks of batched bootstrap draws fan out too. Results are keyed
+by subject index, pair or draw, and all randomness is derived from the
+configured seed, so output is identical regardless of worker count.
+``CANICA_THREADS`` caps the pools. The whole fit runs with numpy's bundled
+OpenBLAS held to one thread (``_blas.limit``), so no product's last bits
+depend on the BLAS thread count. ``fit_group`` standardizes every subject,
+but a series that is already standardized passes through uncopied: the
+command line standardizes each subject as it loads it, so a fit, each split
+half and every repeat read those series. Each series' matrix keeps its frame
+Gram (``DataMatrix.gram``): the first of order selection and the reduction
+to read it forms it, the table's diagonal block is a copy of it, and a later
+split half or repeat reads it again, so a command forms one per subject. The
+reductions hold the standardized series themselves, not copies, and nothing
+stacks their patterns: the group CCA whitens the cross-Grams and forms only
+the retained group patterns, and the noise bootstrap reads each residual as
+the cross-Grams projected in place off the kept patterns' frame directions,
+so a fit holds one table.
 """
 
 import dataclasses
@@ -256,9 +260,11 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
             order = curve.selected
         if order < 1:
             return order, curve, None
-        # the reduction keeps no more patterns than the series' numerical rank
+        # the reduction keeps no more patterns than the series' numerical rank,
+        # and a series of rank 0 is left out of the group as order 0 would be
         reduction = svd_reduce(series, order)
-        return reduction.selected_order, curve, reduction
+        kept = reduction.selected_order
+        return kept, curve, reduction if kept else None
 
     with ThreadPoolExecutor(max_workers=_blas.worker_count(len(subjects))) as pool:
         staged = list(pool.map(subject_stage, range(len(subjects))))

@@ -137,35 +137,22 @@ def _assign(weights: np.ndarray) -> list[tuple[int, int]]:
     return [(c, r) for r, c in pairs] if transpose else pairs
 
 
-def match_components(c: np.ndarray):
+def match_components(c: np.ndarray) -> ComponentMatching:
     """Optimal injective matching maximizing the sum of |C| entries.
 
     The matching is exact (``_assign``: shortest augmenting paths,
     Crouse 2016) and, where several matchings tie for the best sum,
     picks the one scipy's ``linear_sum_assignment(|C|, maximize=True)``
     picks. Pairs are ordered by the smaller set's index.
-
-    Returns the matching and a copy of C with matched pairs moved onto
-    the diagonal (columns reordered when set 1 is the smaller side, rows
-    otherwise; unmatched lines keep their relative order).
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if not np.isfinite(c).all():
         raise ValueError("cross-correlation matrix must be finite")
-    d1, d2 = c.shape
-    if min(d1, d2) == 0:
-        return ComponentMatching(pairs=(), matched_sum=0.0), c.copy()
+    if min(c.shape) == 0:
+        return ComponentMatching(pairs=(), matched_sum=0.0)
     pairs = _assign(np.abs(c))
     matched_sum = float(sum(abs(c[i, j]) for i, j in pairs))
-    if d1 <= d2:
-        order = [j for _, j in pairs]
-        order += [j for j in range(d2) if j not in set(order)]
-        reordered = c[:, order]
-    else:
-        order = [i for i, _ in pairs]
-        order += [i for i in range(d1) if i not in set(order)]
-        reordered = c[order, :]
-    return ComponentMatching(pairs=tuple(pairs), matched_sum=matched_sum), reordered
+    return ComponentMatching(pairs=tuple(pairs), matched_sum=matched_sum)
 
 
 def measures(c: np.ndarray, matching: ComponentMatching) -> tuple[float, float]:
@@ -182,7 +169,7 @@ def measures(c: np.ndarray, matching: ComponentMatching) -> tuple[float, float]:
 def build_report(set1: np.ndarray, set2: np.ndarray, mode: str) -> ReproducibilityReport:
     """Full comparison of two component sets (rows already normalized)."""
     c = cross_correlation(set1, set2)
-    matching, _ = match_components(c)
+    matching = match_components(c)
     e, t = measures(c, matching)
     d1, d2 = c.shape
     if d1 and d2:

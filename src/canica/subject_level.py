@@ -6,7 +6,9 @@ G = Y Y^T = V diag(lambda) V^T gives the whitening map W = V/sqrt(lambda)
 and orthonormal patterns W^T Y (its leading right singular vectors); the
 rest of Y, (I - V V^T) Y over the kept columns of V, is the noise residual.
 A reduction stores neither voxel-wide product: the group level reads both
-through frame cross-Grams, and forms only the group patterns it keeps.
+through frame cross-Grams, and forms only the group patterns it keeps. The
+series' own matrix forms G once and keeps it (``DataMatrix.gram``), so order
+selection, the reduction and the group level's table all read one G.
 A direction with lambda <= lambda_max * max(frames, voxels) * eps is dead
 (a zero column of W), so an order above the numerical rank keeps the rank,
 and a subject has noise only while its first discarded direction is live.
@@ -245,7 +247,7 @@ def svd_reduce(series: SubjectSeries, order: int) -> SubjectReduction:
         raise BadDimension(
             f"order must be in [1, {min(y.shape)}], got {order}"
         )
-    s, rank, w = _whiten(y @ y.T, order, max(y.shape))
+    s, rank, w = _whiten(series.data.gram, order, max(y.shape))
     w = w[:, : min(order, rank)]
     sign_rows(w.T @ y, w)
     return SubjectReduction(
@@ -313,7 +315,7 @@ def order_stability(
         return OrderSelectionCurve(orders, zeros, zeros.copy(),
                                    np.zeros(max_order, bool), 0)
 
-    gram = y @ y.T
+    gram = series.data.gram
     _, rank, ref_map = _whiten(gram, max_order, max(y.shape))
     data_gains = _bootstrap_gains(
         gram, ref_map, n_voxels, n_boot, seed, streams.ORDER_DATA_BOOT

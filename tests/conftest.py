@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
-from canica import make_group_patterns
+from canica import DataMatrix, make_group_patterns
 from canica.streams import CCA_NOISE_BOOT, substream
 from canica.subject_level import _whiten
 
@@ -31,6 +32,23 @@ def white_mixture(k, n_voxels, sparsity, seed):
     ortho = inv_sqrt @ sources
     rotation = np.linalg.qr(substream(seed, 0xD0).standard_normal((k, k)))[0]
     return rotation @ ortho, rotation, ortho, sources
+
+
+@pytest.fixture
+def gram_formations(monkeypatch):
+    """The matrices whose Gram is formed from here on, once per formation."""
+    formed = []
+    form = DataMatrix.gram.fget
+
+    def counted(matrix):
+        before = vars(matrix).get("_gram")
+        gram = form(matrix)
+        if gram is not before:
+            formed.append(matrix)
+        return gram
+
+    monkeypatch.setattr(DataMatrix, "gram", property(counted))
+    return formed
 
 
 def fit_bytes(result) -> list:

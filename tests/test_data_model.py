@@ -1,5 +1,7 @@
 import re
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -62,6 +64,39 @@ class TestDataMatrix:
         m = DataMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
+
+    def test_gram_is_formed_once_and_read_only(self):
+        m = DataMatrix(np.random.default_rng(9).normal(size=(5, 30)))
+        gram = m.gram
+        assert gram is m.gram
+        assert gram.tobytes() == (m.values @ m.values.T).tobytes()
+        with pytest.raises(ValueError):
+            gram[0, 0] = 1.0
+
+    def test_threads_reading_a_new_gram_together_get_its_bits(self):
+        values = np.random.default_rng(10).normal(size=(40, 500))
+        expected = (values @ values.T).tobytes()
+        matrices = [DataMatrix(values) for _ in range(20)]
+        start = threading.Barrier(8, timeout=10)
+        seen = [[] for _ in range(8)]
+
+        def read(i):
+            start.wait()
+            seen[i] = [m.gram.tobytes() for m in matrices]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(grams == [expected] * len(matrices) for grams in seen)
+        assert all(m.gram is m.gram and not m.gram.flags.writeable for m in matrices)
 
     def test_empty_rows_allowed(self):
         m = DataMatrix(np.zeros((0, 5)))

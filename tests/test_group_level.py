@@ -190,6 +190,30 @@ class TestGroupCca:
             ])
 
 
+class TestCrossGrams:
+    def make_reductions(self, seed):
+        data = simulate_group(4, 30, 300, 2, 0.3, 0.3, 0.05, seed=seed)
+        return [svd_reduce(standardize(s), 4) for s in data.dataset.subjects]
+
+    def test_diagonal_is_a_writable_copy_of_each_subject_gram(self):
+        reds = self.make_reductions(seed=14)
+        table = cross_grams(reds)
+        for a, r in enumerate(reds):
+            assert table[a, a].tobytes() == r.data.gram.tobytes()
+            assert not np.shares_memory(table[a, a], r.data.gram)
+            assert table[a, a].flags.writeable
+
+    def test_noise_threshold_leaves_each_subject_gram_unchanged(self):
+        reds = self.make_reductions(seed=15)
+        before = [r.data.gram.copy() for r in reds]
+        table = cross_grams(reds)
+        noise_threshold(reds, n_boot=20, seed=15, grams=table)
+        for a, (r, gram) in enumerate(zip(reds, before)):
+            # the table's copy was projected, the subject's Gram was not
+            assert not np.array_equal(table[a, a], gram)
+            assert r.data.gram.tobytes() == gram.tobytes()
+
+
 class TestNoiseThreshold:
     def make_noise_reductions(self, seed, n_sub=4, f=60, v=300, order=5):
         reds = []

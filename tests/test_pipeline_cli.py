@@ -21,6 +21,7 @@ from canica import (
     GroupDataset,
     PipelineConfig,
     RowKind,
+    SubjectSeries,
     fit_group,
     read_matrix,
     simulate_group,
@@ -208,6 +209,37 @@ class TestFitGroup:
             f"{NO_SUBSPACE_MESSAGE}: subject 'subject_000' "
             "has no noise residual to calibrate the threshold"
         )
+
+    def test_fixed_order_leaves_out_a_constant_subject(self):
+        # a constant subject standardizes to zeros: rank 0, so no reduction
+        data = simulate_group(6, 40, 600, 3, 0.05, 0.5, 0.1, seed=3)
+        subjects = list(data.dataset.subjects)
+        subjects[2] = SubjectSeries(
+            "subject_002", DataMatrix(np.full((40, 600), 7.0), RowKind.FRAMES))
+        config = PipelineConfig(fixed_order=3, max_order=10, order_n_boot=30,
+                                cca_n_boot=30, seed=1)
+        result = fit_group(GroupDataset(tuple(subjects)), config)
+        assert result.selected_orders[2] == 0
+        assert result.k == 3
+
+    def test_a_fit_forms_each_subject_gram_once(self, gram_formations):
+        gains = np.linspace(2.2, 1.2, 2)
+        data = simulate_group(
+            4, 80, 400, 2, 0.3, 0.3, 0.02, seed=7, pattern_gains=gains
+        )
+        config = PipelineConfig(max_order=8, order_n_boot=25, cca_n_boot=25, seed=7)
+        result = fit_group(data.dataset, config)
+        assert result.selected_orders == (2, 2, 2, 2)
+        assert len(gram_formations) == 4
+
+    def test_a_refit_reads_the_grams_of_the_first_fit(self, gram_formations):
+        data = simulate_group(6, 40, 400, 2, 0.2, 0.3, 0.05, seed=11)
+        standardized = GroupDataset(tuple(map(standardize, data.dataset.subjects)))
+        config = PipelineConfig(max_order=6, order_n_boot=20, cca_n_boot=20, seed=11)
+        fits = [fit_group(standardized, config) for _ in range(2)]
+        assert fits[0].k >= 1
+        assert fit_bytes(fits[0]) == fit_bytes(fits[1])
+        assert len(gram_formations) == 6
 
     @given(threads=st.integers(1, 8))
     @settings(max_examples=6)
