@@ -18,7 +18,6 @@ from .data_model import (
     RowKind,
     StandardizedSeries,
     SubjectSeries,
-    read_csv_matrix,
     read_matrix,
     standardize,
     write_matrix,
@@ -81,7 +80,6 @@ __all__ = [
     "standardize",
     "read_matrix",
     "write_matrix",
-    "read_csv_matrix",
     "GroundTruth",
     "SyntheticDataset",
     "make_group_patterns",

@@ -2,8 +2,8 @@
 
 Every stage of the pipeline works on dense ``rows x voxels`` matrices of
 64-bit floats. Voxels are an unordered flat axis; no spatial structure is
-attached. All types are immutable after construction, apart from the Gram a
-matrix keeps once formed, and safe to share across threads.
+attached. All types are immutable after construction, apart from the Gram and
+its whitening a matrix keeps once formed, and safe to share across threads.
 
 CNIC1 format, little-endian throughout::
 
@@ -20,10 +20,10 @@ A write/read round trip is bit-exact.
 as it is, so a caller that standardizes each subject as it loads it holds one
 copy, and the fit that standardizes again copies nothing.
 
-A matrix owns its row Gram ``values @ values.T`` (``DataMatrix.gram``): it is
-formed on first read and kept with the matrix. For a subject series that is
-the frame Gram which order selection, the reduction and the group's
-cross-Gram table all read, so a command forms it once per subject.
+A matrix owns its row Gram ``values @ values.T`` (``DataMatrix.gram``) and
+that Gram's eigendecomposition under the rank rule (``_whiten``), each formed
+on first read and kept. So a command forms and decomposes each subject's
+frame Gram once, on one OpenBLAS thread.
 """
 
 import enum
@@ -33,11 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .errors import (
     BadDimension,
     BadMagic,
     EmptyMatrix,
     NonFiniteValue,
+    NumericalFailure,
     ShapeOverflow,
     TruncatedPayload,
 )
@@ -62,7 +64,8 @@ class DataMatrix:
     """Immutable 2-D float64 matrix with row semantics.
 
     All entries are finite; the array is made C-contiguous and read-only
-    at construction. The row Gram ``gram`` is formed on first read.
+    at construction. The row Gram ``gram`` and its ``whitening`` are formed
+    on first read.
     """
 
     values: np.ndarray
@@ -103,6 +106,54 @@ class DataMatrix:
             gram.setflags(write=False)
             object.__setattr__(self, "_gram", gram)
         return gram
+
+    @property
+    def whitening(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """``_whiten`` of ``gram`` at full width, (s, rank, map), read-only.
+
+        Kept like ``gram``; the map's first m columns have the bits of
+        ``_whiten`` at order m. Formed on one OpenBLAS thread (``_blas.limit``):
+        at many widths from about 150 rows up, ``eigh``'s bits depend on the count.
+        """
+        kept = self.__dict__.get("_whitening")
+        if kept is None:
+            with _blas.limit():
+                kept = _whiten(self.gram, self.rows, max(self.values.shape))
+            for array in (kept[0], kept[2]):
+                array.setflags(write=False)
+            object.__setattr__(self, "_whitening", kept)
+        return kept
+
+
+def _dead_level(lambda_max: float, size: int) -> float:
+    """Gram eigenvalue at or below which a direction is rounding, not data.
+
+    ``size`` is the longer side, max(rows, cols), of the data matrix.
+    """
+    return lambda_max * size * np.finfo(float).eps
+
+
+def _whiten(gram: np.ndarray, order: int, size: int, data_top: float = 0.0):
+    """Descending sqrt(lambda), numerical rank and whitening map of a Gram.
+
+    The map's ``order`` columns are V/sqrt(lambda), zero on dead directions;
+    ``size`` is the longer side of the data behind the Gram (its dead level).
+    A stack of Grams (..., f, f) gives stacked results: each matrix has the
+    dead level of its own top eigenvalue, and the rank is an array. A Gram
+    that carries the rounding of larger data, as a projected one does, takes
+    the dead level of that data's top eigenvalue ``data_top`` when it is larger.
+    """
+    try:
+        evals, evecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
+    evals, evecs = evals[..., ::-1], evecs[..., ::-1][..., :order]
+    live = evals > _dead_level(np.maximum(evals[..., :1], data_top), size)
+    s = np.sqrt(np.clip(evals, 0.0, None))
+    top = s[..., :order]
+    scale = np.divide(1.0, top, out=np.zeros(top.shape), where=live[..., :order])
+    rank = live.sum(axis=-1)
+    return s, int(rank) if gram.ndim == 2 else rank, evecs * scale[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -243,15 +294,3 @@ def read_matrix(path) -> DataMatrix:
     except NonFiniteValue as exc:
         raise NonFiniteValue(f"{path}: {exc}") from None
 
-
-def read_csv_matrix(path, row_kind: RowKind = RowKind.PATTERNS) -> DataMatrix:
-    """Read a small comma-separated matrix; a non-numeric header row is skipped."""
-    with open(path) as fh:
-        first = fh.readline()
-    skip = 0
-    try:
-        [float(tok) for tok in first.strip().split(",") if tok != ""]
-    except ValueError:
-        skip = 1
-    values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    return DataMatrix(values, row_kind)

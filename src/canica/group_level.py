@@ -30,13 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas, streams
-from .data_model import DataMatrix, RowKind
+from .data_model import DataMatrix, RowKind, _dead_level, _whiten
 from .errors import BadDimension, EmptyGroup, EmptyNoise, NumericalFailure
 from .subject_level import (
     MIN_BOOT,
     SubjectReduction,
-    _dead_level,
-    _whiten,
     draw_chunks,
     n_distinct,
     nearest_rank_quantile,

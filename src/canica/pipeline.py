@@ -14,9 +14,9 @@ depend on the BLAS thread count. ``fit_group`` standardizes every subject,
 but a series that is already standardized passes through uncopied: the
 command line standardizes each subject as it loads it, so a fit, each split
 half and every repeat read those series. Each series' matrix keeps its frame
-Gram (``DataMatrix.gram``): the first of order selection and the reduction
-to read it forms it, the table's diagonal block is a copy of it, and a later
-split half or repeat reads it again, so a command forms one per subject. The
+Gram and its one eigendecomposition (``DataMatrix.gram``, ``.whitening``):
+the subject stage forms both, the table's diagonal block copies the Gram, and
+later halves and repeats read them again, so a command forms each once. The
 reductions hold the standardized series themselves, not copies, and nothing
 stacks their patterns: the group CCA whitens the cross-Grams and forms only
 the retained group patterns, and the noise bootstrap reads each residual as

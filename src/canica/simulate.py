@@ -29,7 +29,6 @@ import numpy as np
 from . import streams
 from .data_model import DataMatrix, GroupDataset, RowKind, SubjectSeries
 from .errors import BadDimension, NumericalFailure
-from .subject_level import _whiten
 
 LOADING_JITTER = 0.1
 
@@ -98,11 +97,11 @@ def make_group_patterns(
         if norm == 0.0:
             raise NumericalFailure("drew an all-zero pattern row")
         patterns[i] /= norm
-    if k_true > 1:
-        _, rank, _ = _whiten(patterns @ patterns.T, k_true, max(patterns.shape))
-        if rank < k_true:
-            raise NumericalFailure("pattern rows are numerically dependent")
-    return DataMatrix(patterns, RowKind.PATTERNS)
+    matrix = DataMatrix(patterns, RowKind.PATTERNS)
+    _, rank, _ = matrix.whitening
+    if rank < k_true:
+        raise NumericalFailure("pattern rows are numerically dependent")
+    return matrix
 
 
 def make_ground_truth(

@@ -7,12 +7,13 @@ and orthonormal patterns W^T Y (its leading right singular vectors); the
 rest of Y, (I - V V^T) Y over the kept columns of V, is the noise residual.
 A reduction stores neither voxel-wide product: the group level reads both
 through frame cross-Grams, and forms only the group patterns it keeps. The
-series' own matrix forms G once and keeps it (``DataMatrix.gram``), so order
-selection, the reduction and the group level's table all read one G.
+series' own matrix forms G and its one eigendecomposition and keeps both
+(``DataMatrix.gram``, ``DataMatrix.whitening``), which order selection, the
+reduction and the group level's table read.
 A direction with lambda <= lambda_max * max(frames, voxels) * eps is dead
-(a zero column of W), so an order above the numerical rank keeps the rank,
-and a subject has noise only while its first discarded direction is live.
-The order is chosen by comparing
+(a zero column of W; the rule is ``data_model``'s), so an order above the
+numerical rank keeps the rank, and a subject has noise only while it kept
+fewer directions than the rank. The order is chosen by comparing
 bootstrap stability of the leading right-singular subspace against the
 same statistic on a matching pure noise matrix.
 
@@ -58,8 +59,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import streams
-from .data_model import DataMatrix, SubjectSeries
-from .errors import BadDimension, NumericalFailure
+from .data_model import DataMatrix, SubjectSeries, _whiten
+from .errors import BadDimension
 
 DEFAULT_N_BOOT = 100
 # Fewest draws either bootstrap (order selection, noise threshold) accepts;
@@ -112,21 +113,9 @@ class SubjectReduction:
 
     @property
     def has_noise(self) -> bool:
-        """Whether the first discarded direction is live under the rank rule.
-
-        A reduction that kept the whole numerical rank leaves rounding, not noise.
-        """
-        s, n = self.singular_values, self.selected_order
-        size = max(self.data.values.shape)
-        return bool(n < len(s) and s[n] ** 2 > _dead_level(s[0] ** 2, size))
-
-
-def _dead_level(lambda_max: float, size: int) -> float:
-    """Gram eigenvalue at or below which a direction is rounding, not data.
-
-    ``size`` is the longer side, max(frames, voxels), of the data matrix.
-    """
-    return lambda_max * size * np.finfo(float).eps
+        """Whether it left out a direction that is live under the rank rule."""
+        _, rank, _ = self.data.whitening
+        return self.selected_order < rank
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -172,29 +161,6 @@ def resampled(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     """Stack of gram[rows[b]][:, cols[b]] over the draws b."""
     # one flat index gathers about twice as fast as two broadcast index arrays
     return np.take(gram, (rows * gram.shape[1])[:, :, None] + cols[:, None, :])
-
-
-def _whiten(gram: np.ndarray, order: int, size: int, data_top: float = 0.0):
-    """Descending sqrt(lambda), numerical rank and whitening map of a Gram.
-
-    The map's ``order`` columns are V/sqrt(lambda), zero on dead directions;
-    ``size`` is the longer side of the data behind the Gram (its dead level).
-    A stack of Grams (..., f, f) gives stacked results: each matrix has the
-    dead level of its own top eigenvalue, and the rank is an array. A Gram
-    that carries the rounding of larger data, as a projected one does, takes
-    the dead level of that data's top eigenvalue ``data_top`` when it is larger.
-    """
-    try:
-        evals, evecs = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
-    evals, evecs = evals[..., ::-1], evecs[..., ::-1][..., :order]
-    live = evals > _dead_level(np.maximum(evals[..., :1], data_top), size)
-    s = np.sqrt(np.clip(evals, 0.0, None))
-    top = s[..., :order]
-    scale = np.divide(1.0, top, out=np.zeros(top.shape), where=live[..., :order])
-    rank = live.sum(axis=-1)
-    return s, int(rank) if gram.ndim == 2 else rank, evecs * scale[..., None, :]
 
 
 def whiten_distinct(
@@ -247,8 +213,8 @@ def svd_reduce(series: SubjectSeries, order: int) -> SubjectReduction:
         raise BadDimension(
             f"order must be in [1, {min(y.shape)}], got {order}"
         )
-    s, rank, w = _whiten(series.data.gram, order, max(y.shape))
-    w = w[:, : min(order, rank)]
+    s, rank, w = series.data.whitening
+    w = w[:, : min(order, rank)].copy()  # sign_rows flips it in place
     sign_rows(w.T @ y, w)
     return SubjectReduction(
         subject_id=series.subject_id,
@@ -315,10 +281,10 @@ def order_stability(
         return OrderSelectionCurve(orders, zeros, zeros.copy(),
                                    np.zeros(max_order, bool), 0)
 
-    gram = series.data.gram
-    _, rank, ref_map = _whiten(gram, max_order, max(y.shape))
+    _, rank, full_map = series.data.whitening
+    ref_map = full_map[:, :max_order].copy()  # contiguous, as _whiten at max_order
     data_gains = _bootstrap_gains(
-        gram, ref_map, n_voxels, n_boot, seed, streams.ORDER_DATA_BOOT
+        series.data.gram, ref_map, n_voxels, n_boot, seed, streams.ORDER_DATA_BOOT
     )
 
     null = streams.substream(seed, streams.ORDER_NULL_MATRIX).standard_normal(y.shape)

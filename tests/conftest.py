@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from canica import DataMatrix, make_group_patterns
+from canica import DataMatrix, RowKind, make_group_patterns
 from canica.streams import CCA_NOISE_BOOT, substream
 from canica.subject_level import _whiten
 
@@ -36,19 +36,42 @@ def white_mixture(k, n_voxels, sparsity, seed):
 
 @pytest.fixture
 def gram_formations(monkeypatch):
-    """The matrices whose Gram is formed from here on, once per formation."""
+    """The frame matrices whose Gram is formed from here on, once per formation.
+
+    Pattern matrices are left out: the simulator checks its patterns' rank
+    on their kept Gram.
+    """
     formed = []
     form = DataMatrix.gram.fget
 
     def counted(matrix):
         before = vars(matrix).get("_gram")
         gram = form(matrix)
-        if gram is not before:
+        if gram is not before and matrix.row_kind == RowKind.FRAMES:
             formed.append(matrix)
         return gram
 
     monkeypatch.setattr(DataMatrix, "gram", property(counted))
     return formed
+
+
+@pytest.fixture
+def gram_decompositions(monkeypatch):
+    """Every array ``np.linalg.eigh`` decomposes from here on, once per call."""
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        decomposed.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return decomposed
+
+
+def decompositions_of(matrices, decomposed) -> list[int]:
+    """How many of the ``decomposed`` arrays are each matrix's kept Gram."""
+    return [sum(a is m.gram for a in decomposed) for m in matrices]
 
 
 def fit_bytes(result) -> list:

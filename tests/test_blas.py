@@ -1,8 +1,9 @@
 import threading
 
+import numpy as np
 import pytest
 
-from canica import _blas, pipeline
+from canica import DataMatrix, _blas, pipeline
 from canica.pipeline import PipelineConfig, fit_group
 from canica.simulate import simulate_group
 from conftest import fit_bytes
@@ -81,6 +82,8 @@ def test_no_openblas_is_a_no_op(monkeypatch):
 def test_fit_runs_every_stage_on_one_thread_whatever_the_thread_cap(
     monkeypatch, three_threads
 ):
+    # simulated first: its rank check takes the hold as well
+    data = simulate_group(4, 30, 100, 1, 0.3, 0.3, 0.05, seed=3)
     requested, stage_counts = [], []
     spy = _blas._Threads(OPENBLAS.get, lambda n: (requested.append(n), OPENBLAS.set(n)))
     monkeypatch.setattr(_blas, "_openblas", lambda: spy)
@@ -93,7 +96,6 @@ def test_fit_runs_every_stage_on_one_thread_whatever_the_thread_cap(
             return real(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, stage)
-    data = simulate_group(4, 30, 100, 1, 0.3, 0.3, 0.05, seed=3)
     config = PipelineConfig(max_order=3, order_n_boot=20, cca_n_boot=20, seed=3)
     for cap in ("1", "3"):
         monkeypatch.setenv("CANICA_THREADS", cap)
@@ -118,6 +120,22 @@ def test_fit_bytes_do_not_depend_on_the_openblas_count():
         OPENBLAS.set(before)
     assert fits[0].k >= 1
     assert fit_bytes(fits[0]) == fit_bytes(fits[1])
+
+
+@needs_openblas
+def test_a_kept_whitening_does_not_depend_on_the_openblas_count():
+    # at this width eigh's last bits depend on the count
+    values = np.random.default_rng(240).standard_normal((240, 480))
+    before = OPENBLAS.get()
+    kept = []
+    try:
+        for count in (2, 1):
+            OPENBLAS.set(count)
+            s, rank, w = DataMatrix(values).whitening
+            kept.append((s.tobytes(), rank, w.tobytes()))
+    finally:
+        OPENBLAS.set(before)
+    assert kept[0] == kept[1]
 
 
 def test_concurrent_fits_equal_serial_fits(monkeypatch):

@@ -14,12 +14,11 @@ from canica import (
     RowKind,
     StandardizedSeries,
     SubjectSeries,
-    read_csv_matrix,
     read_matrix,
     standardize,
     write_matrix,
 )
-from canica.data_model import MAGIC, VERSION
+from canica.data_model import MAGIC, VERSION, _whiten
 from canica.errors import (
     BadDimension,
     BadMagic,
@@ -97,6 +96,17 @@ class TestDataMatrix:
         assert not any(worker.is_alive() for worker in workers)
         assert all(grams == [expected] * len(matrices) for grams in seen)
         assert all(m.gram is m.gram and not m.gram.flags.writeable for m in matrices)
+
+    @pytest.mark.parametrize("rows, cols, rank", [(12, 80, 12), (30, 20, 20), (16, 50, 5)])
+    def test_whitening_columns_have_the_bits_of_whiten_at_each_order(self, rows, cols, rank):
+        rng = np.random.default_rng(rows + rank)
+        m = DataMatrix(rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols)))
+        s, kept_rank, w = m.whitening
+        assert m.whitening is m.whitening and w.shape == (rows, rows)
+        for order in (1, rank, rows):
+            s_m, rank_m, w_m = _whiten(m.gram, order, max(rows, cols))
+            assert (s.tobytes(), kept_rank) == (s_m.tobytes(), rank_m) and rank_m == rank
+            assert w[:, :order].copy().tobytes() == w_m.tobytes()
 
     def test_empty_rows_allowed(self):
         m = DataMatrix(np.zeros((0, 5)))
@@ -258,18 +268,3 @@ class TestBinaryFormat:
             return
         write_matrix(matrix, tmp_path / "back.cnic")
         assert (tmp_path / "back.cnic").read_bytes() == blob
-
-
-class TestCsvImport:
-    def test_without_header(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1.0,2.0\n3.0,4.0\n")
-        m = read_csv_matrix(path)
-        np.testing.assert_array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_with_header(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("v0,v1\n1.0,2.0\n3.0,4.0\n")
-        m = read_csv_matrix(path, RowKind.FRAMES)
-        assert m.row_kind == RowKind.FRAMES
-        np.testing.assert_array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])

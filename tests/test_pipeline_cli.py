@@ -36,7 +36,7 @@ from canica.cli import _sha256, _write_csv, main
 from canica.errors import ConfigError
 from canica.pipeline import NO_SUBSPACE_MESSAGE
 from canica.streams import substream
-from conftest import fit_bytes, reference_csv, truth_in_standardized_space
+from conftest import decompositions_of, fit_bytes, reference_csv, truth_in_standardized_space
 
 
 def run_cli(*argv) -> int:
@@ -231,6 +231,18 @@ class TestFitGroup:
         result = fit_group(data.dataset, config)
         assert result.selected_orders == (2, 2, 2, 2)
         assert len(gram_formations) == 4
+
+    def test_a_fit_decomposes_each_subject_gram_once(self, gram_decompositions):
+        gains = np.linspace(2.2, 1.2, 2)
+        data = simulate_group(
+            4, 80, 400, 2, 0.3, 0.3, 0.02, seed=7, pattern_gains=gains
+        )
+        standardized = GroupDataset(tuple(map(standardize, data.dataset.subjects)))
+        config = PipelineConfig(max_order=8, order_n_boot=25, cca_n_boot=25, seed=7)
+        result = fit_group(standardized, config)
+        assert result.selected_orders == (2, 2, 2, 2)
+        matrices = [s.data for s in standardized.subjects]
+        assert decompositions_of(matrices, gram_decompositions) == [1, 1, 1, 1]
 
     def test_a_refit_reads_the_grams_of_the_first_fit(self, gram_formations):
         data = simulate_group(6, 40, 400, 2, 0.2, 0.3, 0.05, seed=11)

@@ -24,7 +24,7 @@ from canica import (
 from canica.errors import BadDimension, TooFewSubjects
 from canica.reproducibility import RAW_MODE, THRESHOLDED_MODE, components_of
 from canica.streams import substream
-from conftest import brute_force_match
+from conftest import brute_force_match, decompositions_of
 
 
 @st.composite
@@ -236,6 +236,14 @@ class TestSplitHalf:
         for seed in (1, 2):
             split_half(dataset, seed=seed, config=config)
         assert len(gram_formations) == dataset.n_subjects
+
+    def test_repeats_decompose_each_subject_gram_once(self, gram_decompositions):
+        dataset = GroupDataset(tuple(map(standardize, self.make_dataset().subjects)))
+        config = replace(self.CONFIG, fixed_order=None, max_order=6)
+        for seed in (1, 2):
+            split_half(dataset, seed=seed, config=config)
+        matrices = [s.data for s in dataset.subjects]
+        assert decompositions_of(matrices, gram_decompositions) == [1] * len(matrices)
 
     def test_halves_disjoint_and_equal(self):
         result = split_half(self.make_dataset(), seed=1, config=self.CONFIG)

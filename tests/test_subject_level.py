@@ -357,6 +357,23 @@ def rank_rule_cases():
                 yield pytest.param(f, n, kind == "std", order, id=f"{f}x{n}-{kind}-{order}")
 
 
+class TestKeptWhitening:
+    def test_read_only_and_unchanged_by_its_readers(self):
+        series = standardize(series_of(substream(3, 0xF00F).standard_normal((40, 300))))
+        kept = series.data.whitening
+        s, rank, w = kept
+        before = (s.tobytes(), rank, w.tobytes())
+        for array in (s, w):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        reductions = [svd_reduce(series, order) for order in (3, 12)]
+        order_stability(series, 10, n_boot=20, seed=3)
+        assert series.data.whitening is kept
+        assert (s.tobytes(), rank, w.tobytes()) == before
+        for red in reductions:
+            assert not np.shares_memory(red.frame_basis, w)
+
+
 class TestHasNoise:
     @pytest.mark.parametrize("f, n, standardized, order", rank_rule_cases())
     def test_rank_rule_agrees_with_the_residual_energy(self, f, n, standardized, order):
