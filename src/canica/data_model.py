@@ -2,8 +2,9 @@
 
 Every stage of the pipeline works on dense ``rows x voxels`` matrices of
 64-bit floats. Voxels are an unordered flat axis; no spatial structure is
-attached. All types are immutable after construction, apart from the Gram and
-its whitening a matrix keeps once formed, and safe to share across threads.
+attached. All types are immutable after construction, apart from what they
+keep once formed (a matrix's Gram and its whitening, a subject series'
+order-selection curves), and safe to share across threads.
 
 CNIC1 format, little-endian throughout::
 
@@ -179,6 +180,18 @@ class SubjectSeries:
     @property
     def n_voxels(self) -> int:
         return self.data.cols
+
+    @property
+    def order_curves(self) -> dict:
+        """Order-selection curves kept for this series, keyed by their arguments.
+
+        A curve depends only on the values and on (max order, draws, quantile,
+        seed), so a command that fits a series in several groups, as every
+        split half and repeat does, selects its order once. Kept in the
+        instance like ``DataMatrix.gram``; ``setdefault`` is atomic, so threads
+        that read it together share one table.
+        """
+        return self.__dict__.setdefault("_order_curves", {})
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,17 @@ command line standardizes each subject as it loads it, so a fit, each split
 half and every repeat read those series. Each series' matrix keeps its frame
 Gram and its one eigendecomposition (``DataMatrix.gram``, ``.whitening``):
 the subject stage forms both, the table's diagonal block copies the Gram, and
-later halves and repeats read them again, so a command forms each once. The
-reductions hold the standardized series themselves, not copies, and nothing
-stacks their patterns: the group CCA whitens the cross-Grams and forms only
-the retained group patterns, and the noise bootstrap reads each residual as
-the cross-Grams projected in place off the kept patterns' frame directions,
-so a fit holds one table.
+later halves and repeats read them again, so a command forms each once. A
+subject's order-selection seed comes from its place in the command's dataset
+(``order_seeds``), and its series keeps each curve under every argument of
+``order_stability`` (``SubjectSeries.order_curves``), so the subject stage
+selects a subject's order once per command and every split half and repeat
+reuses it; the reduction runs in every fit. The reductions hold the
+standardized series themselves, not copies, and nothing stacks their
+patterns: the group CCA whitens the cross-Grams and forms only the retained
+group patterns, and the noise bootstrap reads each residual as the
+cross-Grams projected in place off the kept patterns' frame directions, so a
+fit holds one table.
 """
 
 import dataclasses
@@ -29,7 +34,7 @@ import json
 import math
 import sys
 import typing
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -231,12 +236,34 @@ class FitResult:
         return 0 if self.subspace is None else self.subspace.k
 
 
+def order_seeds(seed: int, positions: Iterable[int]) -> tuple[int, ...]:
+    """Order-selection seeds of the subjects at ``positions`` of a command's dataset.
+
+    A subject's seed depends on its place in the whole dataset only, so ``fit``
+    and every split half and repeat select its order from the same streams.
+    """
+    return tuple(streams.derive_seed(seed, streams.SUBJECT_ORDER_SEED, int(p))
+                 for p in positions)
+
+
 @_blas.limit()
-def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
-    """Run the full estimation pipeline on one group of subjects, on one BLAS thread."""
+def fit_group(
+    dataset: GroupDataset, config: PipelineConfig, seeds: Sequence[int] | None = None
+) -> FitResult:
+    """Run the full estimation pipeline on one group of subjects, on one BLAS thread.
+
+    ``seeds`` are the subjects' order-selection seeds, by default
+    ``order_seeds(config.seed, range(n_subjects))``. A subject whose series
+    already keeps the curve for its arguments (``SubjectSeries.order_curves``)
+    reuses it; the reduction and everything after it run in every fit.
+    """
     config.validate()
     subjects = [standardize(s) for s in dataset.subjects]
     n_voxels = dataset.n_voxels
+    if seeds is None:
+        seeds = order_seeds(config.seed, range(len(subjects)))
+    if len(seeds) != len(subjects):
+        raise BadDimension(f"{len(seeds)} order seeds for {len(subjects)} subjects")
 
     def subject_stage(index):
         series = subjects[index]
@@ -250,13 +277,13 @@ def fit_group(dataset: GroupDataset, config: PipelineConfig) -> FitResult:
                 raise BadDimension(
                     f"subject {series.subject_id!r} is too small for order selection"
                 )
-            curve = order_stability(
-                series,
-                max_order,
-                n_boot=config.order_n_boot,
-                quantile=config.order_quantile,
-                seed=streams.derive_seed(config.seed, streams.SUBJECT_ORDER_SEED, index),
-            )
+            n_boot, quantile, seed = config.order_n_boot, config.order_quantile, seeds[index]
+            key = (max_order, n_boot, quantile, seed)
+            curve = series.order_curves.get(key)
+            if curve is None:
+                # through the module global, so a tracer that wraps it counts it
+                curve = order_stability(series, max_order, n_boot, quantile, seed)
+                series.order_curves[key] = curve
             order = curve.selected
         if order < 1:
             return order, curve, None

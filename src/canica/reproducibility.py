@@ -21,7 +21,7 @@ import numpy as np
 from . import streams
 from .data_model import GroupDataset
 from .errors import BadDimension, TooFewSubjects
-from .pipeline import FitResult, PipelineConfig, fit_group
+from .pipeline import FitResult, PipelineConfig, fit_group, order_seeds
 
 RAW_MODE = "raw_maps"
 THRESHOLDED_MODE = "thresholded_maps"
@@ -225,8 +225,13 @@ def split_half(
     """Learn components on two disjoint random halves and compare them.
 
     With an odd subject count the leftover subject is dropped at random.
-    Each half runs the full pipeline with its own derived seed; the result
-    carries both the raw-map and thresholded-map comparisons.
+    Each half runs the full pipeline with its own derived seed, apart from
+    order selection: every subject selects its order with the seed ``fit``
+    gives it, ``order_seeds(config.seed, ...)`` of its place in ``dataset``.
+    So a subject's order is the one ``fit`` selects, and a series that keeps
+    its curve (``SubjectSeries.order_curves``) selects it once for every half
+    and repeat it joins. The result carries both the raw-map and
+    thresholded-map comparisons.
     """
     n = dataset.n_subjects
     if n < 4:
@@ -234,13 +239,13 @@ def split_half(
     perm = streams.substream(seed, streams.SPLIT_SHUFFLE).permutation(n)
     half = n // 2
     idx_a, idx_b = perm[:half], perm[half : 2 * half]
-    half_a = GroupDataset(tuple(dataset.subjects[i] for i in idx_a))
-    half_b = GroupDataset(tuple(dataset.subjects[i] for i in idx_b))
-    fit_a = fit_group(
-        half_a, replace(config, seed=streams.derive_seed(seed, streams.SPLIT_HALF_SEED, 0))
-    )
-    fit_b = fit_group(
-        half_b, replace(config, seed=streams.derive_seed(seed, streams.SPLIT_HALF_SEED, 1))
+    fit_a, fit_b = (
+        fit_group(
+            GroupDataset(tuple(dataset.subjects[i] for i in idx)),
+            replace(config, seed=streams.derive_seed(seed, streams.SPLIT_HALF_SEED, h)),
+            order_seeds(config.seed, idx),
+        )
+        for h, idx in enumerate((idx_a, idx_b))
     )
     raw = build_report(components_of(fit_a), components_of(fit_b), RAW_MODE)
     thresholded = build_report(
@@ -251,8 +256,8 @@ def split_half(
     return SplitHalfResult(
         raw=raw,
         thresholded=thresholded,
-        half_a_ids=tuple(s.subject_id for s in half_a.subjects),
-        half_b_ids=tuple(s.subject_id for s in half_b.subjects),
+        half_a_ids=fit_a.subject_ids,
+        half_b_ids=fit_b.subject_ids,
         fit_a=fit_a,
         fit_b=fit_b,
     )

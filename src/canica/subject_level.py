@@ -33,10 +33,16 @@ cannot be used directly for the stopping rule: once real directions are
 present they inflate the average at every order beyond them, so selection
 never stops; the increment isolates each direction's own stability.
 
-The selected order is the largest n such that for every m <= n the mean
-gain over bootstrap draws strictly exceeds the chosen quantile of the
-null distribution of per-draw gains at order m, with candidates beyond
-the numerical rank of the data failing automatically.
+An order m passes when the mean gain over bootstrap draws strictly
+exceeds the chosen quantile of the null distribution of per-draw gains at
+order m; candidates beyond the numerical rank of the data fail
+automatically. The selected order is the largest order that passes, 0 if
+none does. A gain measures the boundary between the first m directions and
+the rest, and where eigenvalues m and m + 1 nearly tie that boundary
+rotates under resampling even inside the signal band, so one such order
+can fail while every later signal order passes by a wide margin; it does
+not stop the selection. Past the signal band a pass is rare, because the
+draws' mean sits near the null's median, far below its upper quantile.
 
 Distinct frames. A resample of f frames keeps about 63% of them distinct.
 With its distinct frames u and their counts D, the resampled Gram has the
@@ -83,6 +89,11 @@ class OrderSelectionCurve:
     null_quantile: np.ndarray  # quantile of the null gain distribution
     passed: np.ndarray  # strict comparison outcome per order
     selected: int
+
+    def __post_init__(self):
+        # a series keeps its curve, and every fit of the series returns it
+        for values in (self.orders, self.data_stability, self.null_quantile, self.passed):
+            values.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -299,11 +310,7 @@ def order_stability(
         [nearest_rank_quantile(null_gains[:, m], quantile) for m in range(max_order)]
     )
     passed = (stability > thresholds) & (orders <= rank)
-    selected = 0
-    for m in range(max_order):
-        if not passed[m]:
-            break
-        selected = m + 1
+    selected = int(orders[passed].max()) if passed.any() else 0
     return OrderSelectionCurve(orders, stability, thresholds, passed, selected)
 
 
@@ -314,5 +321,5 @@ def select_order(
     quantile: float = DEFAULT_QUANTILE,
     seed: int = 0,
 ) -> int:
-    """Largest order whose every direction beats the null stability quantile."""
+    """Largest order whose mean stability beats the null stability quantile."""
     return order_stability(series, max_order, n_boot, quantile, seed).selected

@@ -16,11 +16,13 @@ from canica import (
     match_components,
     measures,
     normalize_mask_rows,
+    order_stability,
     overlap_histogram,
     simulate_group,
     split_half,
     standardize,
 )
+from canica import pipeline
 from canica.errors import BadDimension, TooFewSubjects
 from canica.reproducibility import RAW_MODE, THRESHOLDED_MODE, components_of
 from canica.streams import substream
@@ -273,3 +275,67 @@ class TestSplitHalf:
         )
         used = set(result.half_a_ids) | set(result.half_b_ids)
         assert len(used) == 4
+
+
+def benchmark_group(seed):
+    """The split-half benchmark's group (12 x 60 x 1000), standardized on load
+    as ``canica split-half`` does, with the benchmark's fit config."""
+    data = simulate_group(12, 60, 1000, 10, 0.05, 0.5, 0.1, seed=seed)
+    dataset = GroupDataset(tuple(map(standardize, data.dataset.subjects)))
+    return dataset, PipelineConfig(seed=seed, order_n_boot=25, cca_n_boot=25)
+
+
+class TestOrderCurves:
+    def test_repeats_select_each_subject_order_once(self, monkeypatch):
+        selected = []
+
+        def counted(series, *args, **kwargs):
+            selected.append(series.subject_id)
+            return order_stability(series, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "order_stability", counted)
+        dataset, config = benchmark_group(1)
+        for r in range(4):
+            split_half(dataset, seed=1 + r, config=config)
+        assert sorted(selected) == [s.subject_id for s in dataset.subjects]
+
+    def test_halves_select_the_orders_fit_selects(self):
+        # raw series: each fit standardizes its own copies, so no curve is shared
+        data = simulate_group(8, 30, 300, 3, 0.1, 1.2, 0.2, seed=3).dataset
+        config = PipelineConfig(seed=3, max_order=8, order_n_boot=20, cca_n_boot=20,
+                                ica_restarts=2)
+        fit = fit_group(data, config)
+        orders = dict(zip(fit.subject_ids, fit.selected_orders))
+        assert len(set(orders.values())) > 1
+        for seed in (4, 5):
+            result = split_half(data, seed=seed, config=config)
+            for half in (result.fit_a, result.fit_b):
+                assert half.selected_orders == tuple(orders[i] for i in half.subject_ids)
+
+    def test_a_refit_with_other_arguments_selects_afresh(self):
+        raw = simulate_group(4, 40, 300, 3, 0.1, 0.8, 0.1, seed=2).dataset
+
+        def standardized():
+            return GroupDataset(tuple(map(standardize, raw.subjects)))
+
+        base = PipelineConfig(seed=2, max_order=6, order_n_boot=20, cca_n_boot=20,
+                              ica_restarts=2)
+        dataset = standardized()
+        fit_group(dataset, base)
+        for change in ({"order_n_boot": 25}, {"order_quantile": 0.9}, {"max_order": 5},
+                       {"seed": 3}):
+            config = replace(base, **change)
+            kept = fit_group(dataset, config).stability_curves
+            fresh = fit_group(standardized(), config).stability_curves
+            for a, b in zip(kept, fresh):
+                assert not a.data_stability.flags.writeable  # shared by later fits
+                assert a.selected == b.selected
+                np.testing.assert_array_equal(a.data_stability, b.data_stability)
+                np.testing.assert_array_equal(a.null_quantile, b.null_quantile)
+
+    def test_benchmark_group_of_seed_16_keeps_k_in_every_half(self):
+        # on seed 16 several subjects fail one order inside their signal band
+        # and pass the later ones
+        dataset, config = benchmark_group(16)
+        results = [split_half(dataset, seed=16 + r, config=config) for r in range(4)]
+        assert [f.k for r in results for f in (r.fit_a, r.fit_b)] == [10] * 8

@@ -13,12 +13,14 @@ from canica import (
     make_ground_truth,
     order_stability,
     select_order,
+    simulate_group,
     simulate_subject,
     standardize,
     svd_reduce,
 )
 from canica import subject_level
 from canica.errors import BadDimension
+from canica.pipeline import order_seeds
 from canica.streams import ORDER_DATA_BOOT, substream
 from canica.subject_level import (
     _bootstrap_gains,
@@ -199,6 +201,16 @@ class TestSelectOrder:
         assert curve.data_stability.shape == (6,)
         assert curve.null_quantile.shape == (6,)
         assert curve.selected == 2
+
+    def test_a_failed_order_inside_the_signal_band_does_not_stop_selection(self):
+        # subject 5 of a fit-ref-shaped group, on the seed ``fit`` gives it,
+        # fails order 5 by 0.001 and passes every order from 6 to 10
+        data = simulate_group(12, 60, 1000, 10, 0.05, 0.5, 0.1, seed=7)
+        series = standardize(data.dataset.subjects[5])
+        (seed,) = order_seeds(7, [5])
+        curve = order_stability(series, max_order=20, seed=seed)
+        assert curve.passed.tolist() == [True] * 4 + [False] + [True] * 5 + [False] * 10
+        assert curve.selected == 10
 
     def test_preconditions(self):
         series = noiseless_rank_subject(2, 60, 200, seed=2)
